@@ -36,7 +36,30 @@ void push_run(std::vector<RunT>& runs, index_t dst, index_t src, index_t len) {
   runs.push_back({dst, src, len});
 }
 
+/// Per-thread OmpDriverPin count and the team size its first pin saved.
+struct DriverPinState {
+  int count = 0;
+  int saved_threads = 1;
+};
+thread_local DriverPinState t_driver_pin;
+
 }  // namespace
+
+OmpDriverPin::OmpDriverPin() : owner_(std::this_thread::get_id()) {
+#ifdef _OPENMP
+  if (t_driver_pin.count++ == 0) {
+    t_driver_pin.saved_threads = omp_get_max_threads();
+    omp_set_num_threads(1);
+  }
+#endif
+}
+
+OmpDriverPin::~OmpDriverPin() {
+#ifdef _OPENMP
+  if (std::this_thread::get_id() != owner_) return;
+  if (--t_driver_pin.count == 0) omp_set_num_threads(t_driver_pin.saved_threads);
+#endif
+}
 
 template <class T>
 RankEngine<T>::RankEngine(const fe::DofHandler& dofh, EngineOptions opt)

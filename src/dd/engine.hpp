@@ -56,8 +56,10 @@
 // instead of a flat all-to-lane-0 sum.
 //
 // Threading contract: lanes pin their OpenMP team to one thread (the GEMM
-// kernels' inner `parallel for` would otherwise oversubscribe), so
-// lane-level concurrency replaces OpenMP scaling when the engine is active.
+// kernels' inner `parallel for` would otherwise oversubscribe), and so does
+// the thread that constructs the engine, for the engine's lifetime
+// (OmpDriverPin): lane-level concurrency replaces OpenMP scaling when the
+// engine is active.
 // Pick nlanes ≈ physical cores for throughput; the public entry points
 // (apply / filter_block / set_potential / set_mode) must be called from one
 // driver thread. A lane failure poisons its mailboxes so every lane (and the
@@ -140,6 +142,26 @@ struct WireStats {
   double drift_den = 0.0;
   double bf16_drift_num = 0.0;
   double bf16_drift_den = 0.0;
+};
+
+/// Pins the calling thread's OpenMP team to one thread while held. The
+/// thread that drives an engine's lanes runs its own vector kernels between
+/// jobs (the Poisson PCG's dots and axpys); at the default team size each of
+/// those wakes N OpenMP workers that then spin on the cores the lanes need.
+/// Pins count per thread rather than stack: the first pin a thread takes
+/// saves its team size and its last release restores it, whatever order the
+/// holders die in (a KohnShamDFT destroys its k-point backends before its
+/// Poisson backend). Release a pin on the thread that took it; one released
+/// on another thread leaves its owner pinned to one thread.
+class OmpDriverPin {
+ public:
+  OmpDriverPin();
+  ~OmpDriverPin();
+  OmpDriverPin(const OmpDriverPin&) = delete;
+  OmpDriverPin& operator=(const OmpDriverPin&) = delete;
+
+ private:
+  std::thread::id owner_;
 };
 
 template <class T>
@@ -687,6 +709,7 @@ class RankEngine {
     st.modeled = 0.0;
   }
 
+  OmpDriverPin driver_pin_;  // first in, last out: spans the lanes' lifetime
   const fe::DofHandler* dofh_;
   EngineOptions opt_;
   BrickPartition part_;

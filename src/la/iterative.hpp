@@ -68,8 +68,12 @@ SolveReport pcg(const std::function<void(const std::vector<T>&, std::vector<T>&)
     const T rz_new = dotc(n, r.data(), z.data());
     const T beta = rz_new / rz;
     rz = rz_new;
+    // The scratch is thread_local: an OpenMP worker naming p/z would index
+    // its own empty copy, so the region sees only the caller's pointers.
+    T* const pp = p.data();
+    const T* const zp = z.data();
 #pragma omp parallel for if (n > 8192)
-    for (index_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
+    for (index_t i = 0; i < n; ++i) pp[i] = zp[i] + beta * pp[i];
   }
   rep.residual = nrm2(n, r.data()) / bnorm;
   rep.converged = rep.residual < tol;

@@ -153,9 +153,12 @@ void gemm_low_precision(char transa, char transb, index_t m, index_t n, index_t 
   demote_panel(B, ldb, brows, bcols, Bf.data());
   gemm<L>(transa, transb, m, n, k, L(1), Af.data(), arows, Bf.data(), brows, L(0), Cf.data(),
           m);
+  // Cf is thread_local: hand the OpenMP workers the caller's buffer, never
+  // the name (each worker would index its own empty copy).
+  const L* const cf = Cf.data();
 #pragma omp parallel for if (n > 4)
   for (index_t j = 0; j < n; ++j)
-    for (index_t i = 0; i < m; ++i) C[i + j * ldc] = static_cast<T>(Cf[i + j * m]);
+    for (index_t i = 0; i < m; ++i) C[i + j * ldc] = static_cast<T>(cf[i + j * m]);
 }
 
 /// Upper-block-triangle of S = A^H B over the rows covered by the spans —
@@ -175,25 +178,34 @@ void overlap_hermitian_partial(ConstSpan2D<T> A, ConstSpan2D<T> B, Matrix<T>& S,
   S.reshape(N, N);
   const index_t nb = std::max<index_t>(1, std::min(mp_block, N));
   const index_t nblk = (N + nb - 1) / nb;
-  // Block pairs are independent writes; gemm's internal parallel region
-  // degrades to a single-thread team when nested, so the outer collapse is
-  // the effective parallelization across block pairs.
-#pragma omp parallel for collapse(2) schedule(dynamic) if (nblk > 1)
-  for (index_t bi = 0; bi < nblk; ++bi)
-    for (index_t bj = 0; bj < nblk; ++bj) {
-      if (bj < bi) continue;
-      const index_t I = bi * nb, ni = std::min(nb, N - I);
-      const index_t J = bj * nb, nj = std::min(nb, N - J);
-      if (bi == bj || !mixed) {
-        gemm<T>('C', 'N', ni, nj, n, T(1), A.col(I), A.ld, B.col(J), B.ld, T(0),
-                S.data() + I + J * N, N);
-      } else {
-        // The inner FP32 GEMM self-counts at the full analytic rate
-        // (Sec. 6.3 does not discount reduced-precision FLOPs).
-        gemm_low_precision<T>('C', 'N', ni, nj, n, A.col(I), A.ld, B.col(J), B.ld,
-                              S.data() + I + J * N, N);
-      }
+  auto block_pair = [&](index_t bi, index_t bj) {
+    const index_t I = bi * nb, ni = std::min(nb, N - I);
+    const index_t J = bj * nb, nj = std::min(nb, N - J);
+    if (bi == bj || !mixed) {
+      gemm<T>('C', 'N', ni, nj, n, T(1), A.col(I), A.ld, B.col(J), B.ld, T(0),
+              S.data() + I + J * N, N);
+    } else {
+      // The inner FP32 GEMM self-counts at the full analytic rate
+      // (Sec. 6.3 does not discount reduced-precision FLOPs).
+      gemm_low_precision<T>('C', 'N', ni, nj, n, A.col(I), A.ld, B.col(J), B.ld,
+                            S.data() + I + J * N, N);
     }
+  };
+  // A single block pair runs gemm's own parallel region at the top level, on
+  // the persistent OpenMP pool. Wrapping it in an inactive (if(false)) outer
+  // region instead would make gemm's region the first active level, and
+  // libgomp builds such a nested team from fresh OS threads on every call —
+  // whose thread-local packing panels are allocated anew each time.
+  if (nblk == 1) {
+    block_pair(0, 0);
+    return;
+  }
+  // Several block pairs are independent writes: the outer collapse is the
+  // parallelization, and gemm's nested region runs as a one-thread team.
+#pragma omp parallel for collapse(2) schedule(dynamic)
+  for (index_t bi = 0; bi < nblk; ++bi)
+    for (index_t bj = 0; bj < nblk; ++bj)
+      if (bj >= bi) block_pair(bi, bj);
 }
 
 /// Hermitian completion of a (summed) upper-block-triangle overlap: average

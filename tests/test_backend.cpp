@@ -24,6 +24,8 @@
 #include "obs/metrics.hpp"
 #include "xc/lda.hpp"
 
+#include <omp.h>
+
 namespace dftfe::dd {
 namespace {
 
@@ -296,6 +298,29 @@ TEST(BackendScf, NonInteractingTrapSerialVsThreadedEnergy) {
   EXPECT_NEAR(pair.threaded.energy.total, pair.serial.energy.total, 1e-10);
   EXPECT_NEAR(pair.threaded.energy.band, pair.serial.energy.band, 1e-10);
   EXPECT_NEAR(pair.threaded.energy.fermi_level, pair.serial.energy.fermi_level, 1e-9);
+}
+
+TEST(BackendScf, DriverThreadPinnedUntilLastThreadedBackendDies) {
+  // KohnShamDFT destroys its k-point backends before its Poisson backend;
+  // the driving thread's team size must come back only after both are gone.
+  const fe::Mesh mesh = fe::make_uniform_mesh(6.0, 2, false);
+  const fe::DofHandler dofh(mesh, 2);
+  ks::ScfOptions opt;
+  opt.include_hartree = false;
+  opt.nstates = 2;
+  opt.max_iterations = 1;
+  opt.backend.kind = BackendKind::threaded;
+  opt.backend.nlanes = 2;
+  const int before = omp_get_max_threads();
+  omp_set_num_threads(3);
+  {
+    ks::KohnShamDFT<double> dft(dofh, nullptr, {}, opt);
+    dft.set_external_potential(std::vector<double>(dofh.ndofs(), 0.0), 2.0);
+    dft.solve();  // builds the k-point and Poisson backends
+    EXPECT_EQ(omp_get_max_threads(), 1);
+  }
+  EXPECT_EQ(omp_get_max_threads(), 3);
+  omp_set_num_threads(before);
 }
 
 TEST(BackendScf, LdaAtomWithHartreeSerialVsThreadedEnergy) {

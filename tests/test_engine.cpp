@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "base/timer.hpp"
@@ -20,6 +21,8 @@
 #include "ks/hamiltonian.hpp"
 #include "la/iterative.hpp"
 #include "la/workspace.hpp"
+
+#include <omp.h>
 
 namespace dftfe::dd {
 namespace {
@@ -351,6 +354,19 @@ TEST(SlabEngine, SteadyStateAllocatesNothing) {
   }
   EXPECT_EQ(la::WorkspaceCounters::allocations(), 0);
   EXPECT_GT(la::WorkspaceCounters::checkouts(), 0);
+}
+
+TEST(OmpDriverPin, LastReleaseRestoresTeamSizeInAnyOrder) {
+  const int before = omp_get_max_threads();
+  omp_set_num_threads(3);
+  auto first = std::make_unique<OmpDriverPin>();
+  auto second = std::make_unique<OmpDriverPin>();
+  EXPECT_EQ(omp_get_max_threads(), 1);
+  first.reset();  // released out of stack order: still pinned
+  EXPECT_EQ(omp_get_max_threads(), 1);
+  second.reset();
+  EXPECT_EQ(omp_get_max_threads(), 3);
+  omp_set_num_threads(before);
 }
 
 TEST(SlabEngine, CommStatsCountBothDirectionsPerInterface) {

@@ -50,6 +50,14 @@ Rules (see DESIGN.md "Correctness & analysis tier"):
                    gate must include obs/trace.hpp first (or be trace.hpp),
                    so the macro is always defined.
 
+  omp-thread-local A function-local `thread_local` name is never referenced
+                   inside an `#pragma omp parallel` region of the same
+                   scope in src/. Each OpenMP worker is its own thread and
+                   sees its own (typically empty) copy of the variable, so
+                   a worker indexing the caller's thread-local scratch reads
+                   out of bounds. Hoist `.data()` into a local pointer on
+                   the calling thread before the region (DESIGN.md Sec. 8).
+
 Waivers: a line may be exempted from one rule with an inline justification —
 
     some_vector.push_back(x);  // lint: allow(hot-path-alloc): why it is fine
@@ -172,6 +180,14 @@ WAIVER_RE = re.compile(
 PLACEHOLDER_REASONS = {"todo", "tbd", "temp", "tmp", "wip", "fixme", "xxx",
                        "ok", "fine", "allow", "waiver", "because"}
 
+THREAD_LOCAL_RE = re.compile(r"\bthread_local\b([^;]*);")
+OMP_PARALLEL_RE = re.compile(r"^\s*#\s*pragma\s+omp\s+parallel\b.*$", re.MULTILINE)
+# Block headers that open code (function/lambda bodies, control statements):
+# `)` plus trailing qualifiers or a trailing return type, or else/do/try.
+CODE_BLOCK_HEADER_RE = re.compile(
+    r"(?:\)\s*(?:(?:const|noexcept|override|final|mutable)\s*)*(?:->[^{};]*)?"
+    r"|\b(?:else|do|try))\s*$")
+
 CXX_GLOBS = ("**/*.hpp", "**/*.cpp", "**/*.h", "**/*.cc")
 
 
@@ -275,6 +291,89 @@ def collect_waivers(lines: list[str], violations: list[Violation],
     return waived
 
 
+def thread_local_names(decl: str) -> list[str]:
+    """Variable names declared by the text after `thread_local` up to the `;`
+    (e.g. ` std::vector<T> r, z, p` -> [r, z, p])."""
+    flat, depth = [], 0
+    for ch in decl:  # drop template arguments and initializers
+        if ch in "<({[":
+            depth += 1
+        elif ch in ">)}]":
+            depth -= 1
+        elif depth == 0:
+            flat.append(ch)
+    names = []
+    for part in "".join(flat).split(","):
+        ids = re.findall(r"[A-Za-z_]\w*", part.split("=")[0])
+        if ids:
+            names.append(ids[-1])
+    return names
+
+
+def code_blocks(code: str) -> list[tuple[int, int, bool]]:
+    """(open, close, is_code) offsets of every brace block in `code`, where
+    is_code marks blocks inside a function body (not namespace/class scope)."""
+    blocks, stack = [], []
+    for i, ch in enumerate(code):
+        if ch == "{":
+            start = max(code.rfind(c, 0, i) for c in ";{}") + 1
+            header = code[start:i].strip()
+            parent_code = bool(stack) and stack[-1][1]
+            stack.append((i, parent_code or (bool(header) and bool(
+                CODE_BLOCK_HEADER_RE.search(header)))))
+        elif ch == "}" and stack:
+            open_at, is_code = stack.pop()
+            blocks.append((open_at, i, is_code))
+    return blocks
+
+
+def statement_end(code: str, pos: int) -> int:
+    """Offset one past the statement starting at or after `pos`: the matching
+    `}` of its first top-level block, or its first top-level `;`."""
+    parens = braces = 0
+    for i in range(pos, len(code)):
+        ch = code[i]
+        if ch == "(":
+            parens += 1
+        elif ch == ")":
+            parens -= 1
+        elif ch == "{" and parens == 0:
+            braces += 1
+        elif ch == "}" and parens == 0:
+            braces -= 1
+            if braces == 0:
+                return i + 1
+        elif ch == ";" and parens == 0 and braces == 0:
+            return i + 1
+    return len(code)
+
+
+def omp_thread_local_uses(code_lines: list[str]) -> list[tuple[int, str]]:
+    """(line, name) of every function-local thread_local name referenced
+    inside an `omp parallel` region within the name's scope."""
+    code = "\n".join(code_lines)
+    blocks = code_blocks(code)
+    hits: list[tuple[int, str]] = []
+    for m in THREAD_LOCAL_RE.finditer(code):
+        enclosing = [b for b in blocks if b[0] < m.start() < b[1]]
+        if not enclosing:
+            continue
+        _, close_at, is_code = max(enclosing, key=lambda b: b[0])
+        if not is_code:
+            continue
+        names = thread_local_names(m.group(1))
+        for pragma in OMP_PARALLEL_RE.finditer(code, m.end(), close_at):
+            region_start = code.find("\n", pragma.end()) + 1
+            region_end = min(statement_end(code, region_start), close_at)
+            for name in names:
+                for use in re.finditer(rf"\b{re.escape(name)}\b",
+                                       code[region_start:region_end]):
+                    hit = (code.count("\n", 0, region_start + use.start()) + 1, name)
+                    if hit not in hits:
+                        hits.append(hit)
+    return hits
+
+
 def is_waived(waived: dict[int, set[str]], line_no: int, rule: str) -> bool:
     return rule in waived.get(line_no, set())
 
@@ -323,6 +422,16 @@ def lint_file(path: Path, root: Path, violations: list[Violation],
                         f"{what} in bench harness; benches must be "
                         "reproducible (fixed seeds via base/rng.hpp, "
                         "steady-clock Timer for measurement)"))
+
+    # -- omp-thread-local --
+    if in_src:
+        for idx, name in omp_thread_local_uses(code_lines):
+            if not is_waived(waived, idx, "omp-thread-local"):
+                violations.append(Violation(
+                    "omp-thread-local", path, idx,
+                    f"thread_local '{name}' referenced inside an omp parallel "
+                    "region: each OpenMP worker sees its own copy; pass a "
+                    "pointer taken on the calling thread instead"))
 
     # -- trace-vocab -- (raw lines: the span name lives inside a string)
     if in_src:
