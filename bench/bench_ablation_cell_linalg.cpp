@@ -17,7 +17,7 @@
 #include "bench_common.hpp"
 #include "fe/cell_ops.hpp"
 #include "la/workspace.hpp"
-#include "obs/metrics.hpp"
+#include "obs/context.hpp"
 
 using namespace dftfe;
 
@@ -25,7 +25,8 @@ int main() {
   bench::print_preamble(
       "Ablation (Sec. 5.4.1): dense cell-matrix batched GEMM vs sum factorization");
 
-  auto& metrics = obs::MetricsRegistry::global();
+  auto& metrics = obs::Context::current().metrics();
+  auto& flops = obs::Context::current().flops();
   TextTable t({"p", "dofs", "dense wall (s)", "dense GFLOPS", "sf-scalar wall (s)",
                "sf-gemm wall (s)", "sf-gemm GFLOPS", "sf speedup", "dense/sf-gemm",
                "ws allocs"});
@@ -46,22 +47,22 @@ int main() {
     K.apply_add_sumfac(X, Y3);
     la::WorkspaceCounters::reset();
 
-    FlopCounter::global().clear();
+    flops.clear();
     Timer t1;
     for (int r = 0; r < reps; ++r) K.apply_add(X, Y1);
     const double wall_dense = t1.seconds() / reps;
-    const double gf_dense = FlopCounter::global().total() / reps / 1e9;
+    const double gf_dense = flops.total() / reps / 1e9;
 
-    FlopCounter::global().clear();
+    flops.clear();
     Timer t2;
     for (int r = 0; r < reps; ++r) K.apply_add_sumfac_scalar(X, Y2);
     const double wall_sf_scalar = t2.seconds() / reps;
 
-    FlopCounter::global().clear();
+    flops.clear();
     Timer t3;
     for (int r = 0; r < reps; ++r) K.apply_add_sumfac(X, Y3);
     const double wall_sf = t3.seconds() / reps;
-    const double gf_sf = FlopCounter::global().total() / reps / 1e9;
+    const double gf_sf = flops.total() / reps / 1e9;
 
     const auto ws_allocs = la::WorkspaceCounters::allocations();
     const double sf_speedup = wall_sf_scalar / wall_sf;
@@ -90,7 +91,7 @@ int main() {
               "(the paper's setting) that trade wins, which is why DFT-FE casts the\n"
               "Hamiltonian apply as xGEMMStridedBatched.\n");
   bench::write_bench_artifact("BENCH_cell_linalg.json");
-  FlopCounter::global().clear();
+  flops.clear();
   metrics.clear();
   return 0;
 }

@@ -50,13 +50,13 @@ int main() {
     for (int rep = 0; rep < 3; ++rep) {
       ks::ChebyshevFilteredSolver<double> solver(H, N, opt);
       solver.initialize_random(3);
-      FlopCounter::global().clear();
-      ProfileRegistry::global().clear();
-      solver.cycle();  // times land in "CF"
-      const double w = ProfileRegistry::global().seconds("CF");
+      obs::Context& ctx = obs::Context::current();
+      ctx.clear();
+      solver.cycle();  // times land in the "CF" span histogram
+      const double w = ctx.metrics().histogram("CF").sum;
       if (w < wall) {
         wall = w;
-        gflops = FlopCounter::global().step("CF") / w / 1e9;
+        gflops = ctx.flops().step("CF") / w / 1e9;
       }
     }
     t.add(bf, TextTable::num(wall, 3), TextTable::num(gflops, 2), bench::pct_of_peak(gflops));
@@ -70,7 +70,6 @@ int main() {
               "once a few columns share each loaded cell-matrix line; on GPUs the\n"
               "rise continues to B_f ~ 500 (more parallelism to occupy).\n",
               last / first);
-  FlopCounter::global().clear();
-  ProfileRegistry::global().clear();
+  obs::Context::current().clear();
   return 0;
 }

@@ -47,11 +47,15 @@ int main() {
   copt.cheb_degree = cheb_degree;
   ks::ChebyshevFilteredSolver<double> solver(H, N, copt);
   solver.initialize_random(5);
-  ProfileRegistry::global().clear();
+  auto compute_seconds = [] {
+    double s = 0.0;
+    for (const char* step : {"CF", "CholGS-S", "CholGS-CI", "CholGS-O", "RR-P", "RR-D", "RR-SR"})
+      s += obs::Context::current().metrics().histogram(step).sum;
+    return s;
+  };
+  const double compute_before = compute_seconds();
   solver.cycle();
-  double compute_total = 0.0;
-  for (const char* s : {"CF", "CholGS-S", "CholGS-CI", "CholGS-O", "RR-P", "RR-D", "RR-SR"})
-    compute_total += ProfileRegistry::global().seconds(s);
+  const double compute_total = compute_seconds() - compute_before;
   std::printf("measured one-iteration compute on 1 core: %.3f s (dofs %lld, N %lld)\n\n",
               compute_total, static_cast<long long>(dofh.ndofs()), static_cast<long long>(N));
 
@@ -62,13 +66,13 @@ int main() {
   // therefore time-dilated by the same factor, so the communication-to-
   // computation balance (bytes/FLOP) matches the real system and the
   // efficiency curves are in the physically right regime.
-  FlopCounter::global().clear();
+  obs::Context::current().flops().clear();
   {  // quick rate probe on the same kernels
     ks::ChebyshevFilteredSolver<double> probe(H, N, copt);
     probe.initialize_random(6);
     Timer tp;
     probe.cycle();
-    const double rate = FlopCounter::global().total() / tp.seconds();
+    const double rate = obs::Context::current().flops().total() / tp.seconds();
     const double node_rate = 46.8e12 * 0.30;
     const double dilation = node_rate / rate;
     std::printf("measured kernel rate %.2f GFLOPS; Summit-node effective rate assumed\n"

@@ -22,7 +22,7 @@
 #include "la/blas.hpp"
 #include "la/mixed.hpp"
 #include "la/workspace.hpp"
-#include "obs/metrics.hpp"
+#include "obs/context.hpp"
 
 using namespace dftfe;
 
@@ -118,7 +118,7 @@ namespace {
 class MetricsReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& reports) override {
-    auto& m = obs::MetricsRegistry::global();
+    auto& m = obs::Context::current().metrics();
     for (const auto& run : reports) {
       if (run.error_occurred) continue;
       std::string key = "bench.kernels." + run.benchmark_name();

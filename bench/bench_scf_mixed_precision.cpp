@@ -17,7 +17,7 @@
 // Section 1 — free wire, 1 and 4 lanes: isolates the *compute* effect of the
 // FP32 subspace blocks (the wire is free, so the wire format is inert). The
 // CholGS-S / RR-P attribution comes from the obs span histograms — the same
-// ledger the RunReport carries — not from ProfileRegistry.
+// ledger the RunReport carries.
 //
 // Section 2 (headline, gates the bench-regression CI tier) — 4 lanes,
 // synchronous halo waits under an injected wire delay calibrated against
@@ -53,8 +53,7 @@
 #include "ks/hamiltonian.hpp"
 #include "ks/scf.hpp"
 #include "la/iterative.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/context.hpp"
 #include "xc/lda.hpp"
 
 using namespace dftfe;
@@ -80,11 +79,10 @@ struct ScfRun {
 };
 
 /// Span seconds of the dense subspace steps, read from the obs histogram
-/// ledger (the old ablation read ProfileRegistry; the RunReport carries the
-/// histogram sums, so the bench and the flight recorder now agree by
-/// construction).
+/// ledger (the RunReport carries the histogram sums, so the bench and the
+/// flight recorder agree by construction).
 double dense_span_seconds() {
-  auto& m = obs::MetricsRegistry::global();
+  auto& m = obs::Context::current().metrics();
   return m.histogram("CholGS-S").sum + m.histogram("RR-P").sum;
 }
 
@@ -94,7 +92,7 @@ ScfRun run_scf(const fe::DofHandler& dofh, const ks::ScfOptions& opt,
                const std::vector<double>& vext, double nelec, int reps = 1) {
   ScfRun out;
   for (int rep = 0; rep < reps; ++rep) {
-    obs::TraceRecorder::global().clear();
+    obs::Context::current().trace().clear();
     const double dense0 = dense_span_seconds();
     ks::KohnShamDFT<double> dft(dofh, std::make_shared<xc::LdaPW92>(), {}, opt);
     dft.set_external_potential(vext, nelec);

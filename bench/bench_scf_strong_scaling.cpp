@@ -49,7 +49,7 @@
 #include "ks/hamiltonian.hpp"
 #include "ks/scf.hpp"
 #include "la/iterative.hpp"
-#include "obs/trace.hpp"
+#include "obs/context.hpp"
 #include "xc/lda.hpp"
 
 using namespace dftfe;
@@ -68,7 +68,7 @@ ScfRun run_scf(const fe::DofHandler& dofh, const ks::ScfOptions& opt,
                const std::vector<double>& vext, double nelec, int reps = 1) {
   ScfRun out;
   for (int rep = 0; rep < reps; ++rep) {
-    obs::TraceRecorder::global().clear();
+    obs::Context::current().trace().clear();
     ks::KohnShamDFT<double> dft(dofh, std::make_shared<xc::LdaPW92>(), {}, opt);
     dft.set_external_potential(vext, nelec);
     Timer t;

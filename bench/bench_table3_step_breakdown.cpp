@@ -43,10 +43,7 @@ int main() {
 
   // Warm up (iteration 1 includes subspace initialization), then measure.
   dft.solve();
-  ProfileRegistry::global().clear();
-  FlopCounter::global().clear();
-  obs::MetricsRegistry::global().clear();
-  obs::TraceRecorder::global().clear();
+  obs::Context::current().clear();
   Timer t_iter;
   // One more converged-regime iteration: potential update + ChFES + density.
   dft.update_effective_potential();
@@ -59,7 +56,7 @@ int main() {
   const double total_wall = t_iter.seconds();
 
   // The obs exporter renders the paper's Table 3 layout straight from the
-  // global registries (canonical step list, minor-step FLOP exclusion).
+  // telemetry context (canonical step list, minor-step FLOP exclusion).
   obs::step_breakdown_table(total_wall, bench::calibrated_peak_gflops()).print();
   std::printf("dofs %lld x %lld states (complex). Paper Table 3 shape: CF carries the\n"
               "largest wall share at moderate efficiency; the O(MN^2) dense steps\n"
@@ -67,12 +64,10 @@ int main() {
               "are minor; DH+EP+Others is a small tail.\n",
               static_cast<long long>(dofh.ndofs()), static_cast<long long>(opt.nstates));
   // Machine-readable artifact: the same numbers, trackable across commits.
-  obs::MetricsRegistry::global().gauge_set("bench.total_wall_seconds", total_wall);
-  obs::MetricsRegistry::global().gauge_set("bench.calibrated_peak_gflops",
-                                           bench::calibrated_peak_gflops());
+  obs::MetricsRegistry& metrics = obs::Context::current().metrics();
+  metrics.gauge_set("bench.total_wall_seconds", total_wall);
+  metrics.gauge_set("bench.calibrated_peak_gflops", bench::calibrated_peak_gflops());
   bench::write_bench_artifact("BENCH_table3.json");
-  ProfileRegistry::global().clear();
-  FlopCounter::global().clear();
-  obs::MetricsRegistry::global().clear();
+  obs::Context::current().clear();
   return 0;
 }

@@ -97,7 +97,7 @@ int main() {
   // metrics snapshot (scf.residual series, per-step wall times and FLOPs).
   if (obs::write_chrome_trace("quickstart_trace.json"))
     std::printf("trace:   quickstart_trace.json (%zu spans; load in chrome://tracing)\n",
-                obs::TraceRecorder::global().size());
+                obs::Context::current().trace().size());
   if (obs::write_metrics_snapshot("quickstart_metrics.json"))
     std::printf("metrics: quickstart_metrics.json\n");
   // The RunReport itself is written by Simulation::run() (report_path).

@@ -1,9 +1,10 @@
 #pragma once
 
-// Global FLOP accounting, mirroring the paper's measurement methodology
-// (Sec. 6.3): FLOPs of the dominant dense kernels are counted analytically
-// (e.g. 2*m*n*k per real GEMM, 4x for complex), attributed to named steps,
-// and divided by a calibrated machine peak to obtain "% of peak".
+// FLOP accounting, mirroring the paper's measurement methodology (Sec. 6.3):
+// FLOPs of the dominant dense kernels are counted analytically (e.g. 2*m*n*k
+// per real GEMM, 4x for complex), attributed to named steps, and divided by
+// a calibrated machine peak to obtain "% of peak". The counter the kernels
+// add to is the one in obs::Context::current() (obs/context.hpp).
 
 #include <atomic>
 #include <cstdint>
@@ -15,7 +16,7 @@ namespace dftfe {
 
 class FlopCounter {
  public:
-  /// Add FLOPs to the global total and to the named step bucket (if set).
+  /// Add FLOPs to the total and to the named step bucket (if set).
   /// The total accumulates in double (C++20 atomic fetch_add): the previous
   /// int64 cast silently dropped every fractional contribution.
   void add(double flops) {
@@ -52,28 +53,12 @@ class FlopCounter {
     has_step_.store(false, std::memory_order_release);
   }
 
-  /// The counter global() resolves to on the calling thread: process-wide by
-  /// default, or the per-job counter installed through thread_override()
-  /// (obs::JobScope), so concurrent jobs attribute FLOPs separately.
-  static FlopCounter& global();
-  /// Thread-local override slot backing global(); managed by obs::JobScope.
-  static FlopCounter*& thread_override();
-
  private:
   std::atomic<double> total_{0.0};
   std::atomic<bool> has_step_{false};
   mutable std::mutex mu_;
   std::map<std::string, double> steps_;
   std::string current_step_;
-};
-
-/// RAII step attribution: FLOPs recorded inside the scope land in `name`.
-class ScopedFlopStep {
- public:
-  explicit ScopedFlopStep(std::string name) { FlopCounter::global().set_step(std::move(name)); }
-  ~ScopedFlopStep() { FlopCounter::global().set_step(""); }
-  ScopedFlopStep(const ScopedFlopStep&) = delete;
-  ScopedFlopStep& operator=(const ScopedFlopStep&) = delete;
 };
 
 }  // namespace dftfe

@@ -3,8 +3,8 @@
 #include <stdexcept>
 
 #include "la/workspace_metrics.hpp"
+#include "obs/context.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 
@@ -53,7 +53,7 @@ SimulationResult JobState::run() {
   res.natoms = structure().natoms();
   res.ndofs = model_->dofs().ndofs();
   res.n_electrons = nelectrons_;
-  auto& metrics = obs::MetricsRegistry::global();
+  auto& metrics = obs::Context::current().metrics();
   metrics.gauge_set("sim.natoms", static_cast<double>(res.natoms));
   metrics.gauge_set("sim.ndofs", static_cast<double>(res.ndofs));
   metrics.gauge_set("sim.n_electrons", res.n_electrons);

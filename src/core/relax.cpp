@@ -2,8 +2,8 @@
 
 #include <cmath>
 
+#include "obs/context.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace dftfe::core {
@@ -25,8 +25,9 @@ RelaxResult relax_structure(atoms::Structure st, const SimulationOptions& opt,
     result.max_force = 0.0;
     for (const auto& f : F)
       for (int d = 0; d < 3; ++d) result.max_force = std::max(result.max_force, std::abs(f[d]));
-    obs::MetricsRegistry::global().series_append("relax.energy", res.energy);
-    obs::MetricsRegistry::global().series_append("relax.max_force", result.max_force);
+    obs::MetricsRegistry& metrics = obs::Context::current().metrics();
+    metrics.series_append("relax.energy", res.energy);
+    metrics.series_append("relax.max_force", result.max_force);
     DFTFE_LOG_AT(obs::level_for(ropt.verbose))
         << "  [relax] step " << it << "  E = " << res.energy
         << "  max|F| = " << result.max_force;

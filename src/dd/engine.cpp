@@ -12,8 +12,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "obs/metrics.hpp"
-#include "obs/scope.hpp"
+#include "obs/context.hpp"
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -291,15 +290,14 @@ void RankEngine<T>::build_lanes() {
 
 template <class T>
 void RankEngine<T>::start_lanes() {
-  // Lanes adopt the spawning thread's observability scope: under the svc
-  // layer each job runs inside its own obs::JobScope, and the lane-side
-  // spans/metrics (CF-lane, comm.lane.*) must land in that job's registries
-  // rather than the process-wide ones. With no scope installed the token is
-  // all-null and adoption is a no-op.
-  const obs::JobScope::Token scope = obs::JobScope::current();
+  // Lanes install the spawning thread's telemetry context: under the svc
+  // layer each job runs inside its own obs::Context, and the lane-side
+  // spans/metrics (CF-lane, comm.lane.*) and FLOPs must land in that job's
+  // context rather than the process default (obs/context.hpp lifetime rule).
+  obs::Context* const ctx = &obs::Context::current();
   for (int r = 0; r < static_cast<int>(lanes_.size()); ++r)
-    lanes_[r]->th = std::thread([this, r, scope] {
-      obs::JobScope::Adopt adopt(scope);
+    lanes_[r]->th = std::thread([this, r, ctx] {
+      obs::ContextGuard guard(*ctx);
       lane_main(r);
     });
 }
@@ -494,7 +492,7 @@ void RankEngine<T>::collect_step_stats(int nsteps) {
 
 template <class T>
 void RankEngine<T>::publish_job_metrics(int nsteps) {
-  obs::MetricsRegistry& m = obs::MetricsRegistry::global();
+  obs::MetricsRegistry& m = obs::Context::current().metrics();
   std::int64_t d64b = 0, d32b = 0, d64m = 0, d32m = 0;
   std::int64_t dbfb = 0, dbfm = 0;
   double exposed = 0.0, modeled = 0.0, pack = 0.0;

@@ -324,7 +324,7 @@ class RankEngine {
   void ensure_wire_capacity(index_t ncols);
   void ensure_step_storage(int nsteps);
   void collect_step_stats(int nsteps);
-  /// Push this job's comm/memory deltas into MetricsRegistry::global() under
+  /// Push this job's comm/memory deltas into the current obs::Context under
   /// the RunReport ledger vocabulary (driver thread, after the job synced).
   void publish_job_metrics(int nsteps);
   void close_lane_channels(Lane& ln);

@@ -206,8 +206,8 @@ void CellStiffness<T>::apply_add_sumfac(const la::Matrix<T>& X, la::Matrix<T>& Y
                                   0, T(0), Sz.data(), n2, nd, pairs);
       // Weighted combination + assembly, fused into the scatter sweep
       // (parallel over columns so no two threads write the same entry).
-      FlopCounter::global().add(6.0 * static_cast<double>(nd) * pairs *
-                                scalar_traits<T>::flop_factor);
+      obs::Context::current().flops().add(6.0 * static_cast<double>(nd) * pairs *
+                                          scalar_traits<T>::flop_factor);
 #pragma omp parallel for schedule(static)
       for (index_t j = 0; j < B; ++j) {
         T* dst = Y.col(j);
@@ -251,9 +251,9 @@ void CellStiffness<T>::apply_add_sumfac_scalar(const la::Matrix<T>& X, la::Matri
            static_cast<index_t>(n) * (static_cast<index_t>(j) + static_cast<index_t>(n) * k);
   };
   // Analytic FLOPs: three n^4 contractions + weighting per cell per column.
-  FlopCounter::global().add((6.0 * n * nd + 4.0 * nd) *
-                            static_cast<double>(dofh_->mesh().ncells_total()) * B *
-                            scalar_traits<T>::flop_factor);
+  obs::Context::current().flops().add((6.0 * n * nd + 4.0 * nd) *
+                                      static_cast<double>(dofh_->mesh().ncells_total()) * B *
+                                      scalar_traits<T>::flop_factor);
 
 #pragma omp parallel
   {

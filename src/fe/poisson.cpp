@@ -2,8 +2,7 @@
 
 #include <cmath>
 
-#include "base/flops.hpp"
-#include "obs/metrics.hpp"
+#include "obs/context.hpp"
 #include "obs/trace.hpp"
 
 namespace dftfe::fe {
@@ -14,7 +13,7 @@ PoissonSolver::PoissonSolver(const DofHandler& dofh)
 la::SolveReport PoissonSolver::solve(const std::vector<double>& rho, std::vector<double>& phi,
                                      double tol, int maxit) const {
   obs::TraceSpan timer("EP", "fe");
-  ScopedFlopStep flops("EP");  // PCG stiffness applies + dot products
+  obs::ScopedFlopStep flops("EP");  // PCG stiffness applies + dot products
   const index_t n = dofh_->ndofs();
   const auto& mass = dofh_->mass();
   const auto& bmask = dofh_->boundary_mask();
@@ -43,7 +42,7 @@ la::SolveReport PoissonSolver::solve(const std::vector<double>& rho, std::vector
       for (index_t i = 0; i < n; ++i) z[i] = r[i] / kdiag[i];
     };
     auto rep = la::pcg<double>(op, prec, rhs, phi, tol, maxit);
-    obs::MetricsRegistry::global().series_append("poisson.iterations", rep.iterations);
+    obs::Context::current().metrics().series_append("poisson.iterations", rep.iterations);
     // Remove the constant nullspace component.
     double pmean = 0.0;
 #pragma omp parallel for reduction(+ : pmean)
@@ -97,7 +96,7 @@ la::SolveReport PoissonSolver::solve(const std::vector<double>& rho, std::vector
 #pragma omp parallel for
   for (index_t i = 0; i < n; ++i) u[i] = (bmask[i] != 0.0) ? 0.0 : phi[i] - g[i];
   auto rep = la::pcg<double>(op, prec, rhs, u, tol, maxit);
-  obs::MetricsRegistry::global().series_append("poisson.iterations", rep.iterations);
+  obs::Context::current().metrics().series_append("poisson.iterations", rep.iterations);
 #pragma omp parallel for
   for (index_t i = 0; i < n; ++i) phi[i] = u[i] + g[i];
   return rep;

@@ -4,8 +4,8 @@
 
 #include "la/blas.hpp"
 #include "la/iterative.hpp"
+#include "obs/context.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 
 namespace dftfe::invdft {
 
@@ -145,7 +145,8 @@ Invert1DResult invert_pde_constrained(const Grid1D& grid, const Molecule1D& mol,
                          ? la::block_minres<double>(op, prec, B, P, opt.adjoint_tol, 4000)
                          : la::block_minres<double>(op, ident, B, P, opt.adjoint_tol, 4000);
     result.adjoint_minres_iterations += rep.iterations;
-    obs::MetricsRegistry::global().series_append("invdft1d.minres_iterations", rep.iterations);
+    obs::Context::current().metrics().series_append("invdft1d.minres_iterations",
+                                                    rep.iterations);
 
     // Gradient of the loss wrt v_xc: dL/dv_i = 4 sum_j f_j/2 * p_j psi_j / h
     // (discrete measure); scale by 1/(rho_t + eps) to even out the updates.

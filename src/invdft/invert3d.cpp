@@ -3,8 +3,8 @@
 #include <cmath>
 
 #include "base/timer.hpp"
+#include "obs/context.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace dftfe::invdft {
@@ -101,7 +101,8 @@ Invert3DResult invert_fe_3d(const fe::DofHandler& dofh, const std::vector<double
     result.adjoint_minres_iterations += rep.iterations;
     result.seconds_adjoint += t_adj.seconds();
     adj_span.stop();  // line-search forward solves below are not adjoint work
-    obs::MetricsRegistry::global().series_append("invdft3d.minres_iterations", rep.iterations);
+    obs::Context::current().metrics().series_append("invdft3d.minres_iterations",
+                                                    rep.iterations);
 
     // u = sum_j p_j psi_j drives the v_xc update (Sec. 5.1).
     for (index_t i = 0; i < n; ++i) {
@@ -142,7 +143,7 @@ Invert3DResult invert_fe_3d(const fe::DofHandler& dofh, const std::vector<double
       }
       eta *= 0.4;
     }
-    obs::MetricsRegistry::global().series_append("invdft3d.loss", loss);
+    obs::Context::current().metrics().series_append("invdft3d.loss", loss);
     DFTFE_LOG_AT(obs::level_for(opt.verbose))
         << "  [invdft3d] iter " << it << " loss " << loss << " minres " << rep.iterations;
     if (!improved) break;

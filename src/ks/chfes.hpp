@@ -11,18 +11,17 @@
 //             block structure), dense diagonalization, subspace rotation.
 //
 // Every step opens an obs::TraceSpan (which feeds both the Chrome-trace
-// recorder and the aggregate ProfileRegistry) and attributes FLOPs to the
+// recorder and the per-step span histogram) and attributes FLOPs to the
 // paper's step names (CF, CholGS-S, CholGS-CI, CholGS-O, RR-P, RR-D,
 // RR-SR), which is what the Table 3 bench reads back out.
 
 #include <vector>
 
-#include "base/flops.hpp"
 #include "base/rng.hpp"
 #include "base/timer.hpp"
 #include "dd/backend.hpp"
 #include "dd/pipeline.hpp"
-#include "obs/metrics.hpp"
+#include "obs/context.hpp"
 #include "obs/trace.hpp"
 #include "ks/hamiltonian.hpp"
 #include "la/blas.hpp"
@@ -83,9 +82,9 @@ class ChebyshevFilteredSolver {
   /// One ChFES cycle (CF + CholGS + RR). Returns the Ritz values.
   const std::vector<double>& cycle() {
     obs::TraceSpan span("ChFES-cycle", "chfes");
-    obs::MetricsRegistry::global().gauge_set("chfes.cheb_degree", opt_.cheb_degree);
-    obs::MetricsRegistry::global().gauge_set("chfes.block_size",
-                                             static_cast<double>(opt_.block_size));
+    obs::MetricsRegistry& metrics = obs::Context::current().metrics();
+    metrics.gauge_set("chfes.cheb_degree", opt_.cheb_degree);
+    metrics.gauge_set("chfes.block_size", static_cast<double>(opt_.block_size));
     update_bounds();
     filter();
     orthonormalize();
@@ -163,7 +162,7 @@ class ChebyshevFilteredSolver {
   /// copy-free beyond the block gather/scatter at the ends.
   void filter() {
     obs::TraceSpan timer("CF", "chfes");
-    ScopedFlopStep step("CF");
+    obs::ScopedFlopStep step("CF");
     cf_timings_.clear();
     const index_t N = X_.cols();
     const index_t Bf = std::min(opt_.block_size, N);
@@ -211,7 +210,7 @@ class ChebyshevFilteredSolver {
   /// (la::overlap_hermitian_mixed), halving the CholGS-S / RR-P GEMM work.
   void overlap(const char* flop_step, const la::Matrix<T>& A, const la::Matrix<T>& B,
                la::Matrix<T>& S) {
-    ScopedFlopStep step(flop_step);
+    obs::ScopedFlopStep step(flop_step);
     backend()->overlap(A, B, S, opt_.mp_block, opt_.mixed_precision);
   }
 
@@ -225,7 +224,7 @@ class ChebyshevFilteredSolver {
     }
     {
       obs::TraceSpan t("CholGS-CI", "chfes");
-      ScopedFlopStep step("CholGS-CI");
+      obs::ScopedFlopStep step("CholGS-CI");
       // Keep a copy of S so a Cholesky breakdown (filtered vectors can become
       // numerically dependent on the very first random pass) retries on the
       // *same* overlap with diagonal regularization — recomputing it would
@@ -233,7 +232,7 @@ class ChebyshevFilteredSolver {
       auto S0 = ws.checkout(N, N);
       std::copy(S->data(), S->data() + S->size(), S0->data());
       if (!la::cholesky_lower(*S)) {
-        obs::MetricsRegistry::global().counter_add("chfes.cholesky_retries", 1.0);
+        obs::Context::current().metrics().counter_add("chfes.cholesky_retries", 1.0);
         std::copy(S0->data(), S0->data() + S0->size(), S->data());
         for (index_t i = 0; i < N; ++i)
           (*S)(i, i) += T(1e-10 * std::abs((*S0)(i, i)) + 1e-14);
@@ -244,7 +243,7 @@ class ChebyshevFilteredSolver {
     }
     {
       obs::TraceSpan t("CholGS-O", "chfes");
-      ScopedFlopStep step("CholGS-O");
+      obs::ScopedFlopStep step("CholGS-O");
       auto Xo = ws.checkout(n, N);
       la::gemm('N', 'C', T(1), X_, *S, T(0), *Xo);  // X L^{-H}
       Xo.swap(X_);  // allocation-free rotation; old storage returns to pool
@@ -259,7 +258,7 @@ class ChebyshevFilteredSolver {
       obs::TraceSpan t("RR-P", "chfes");
       auto W = ws.checkout(n, N);
       {
-        ScopedFlopStep step("RR-P");  // H X counts toward the projection step
+        obs::ScopedFlopStep step("RR-P");  // H X counts toward the projection step
         backend()->apply(X_, *W);
       }
       overlap("RR-P", X_, *W, *P);
@@ -267,12 +266,12 @@ class ChebyshevFilteredSolver {
     auto Q = ws.checkout(N, N);
     {
       obs::TraceSpan t("RR-D", "chfes");
-      ScopedFlopStep step("RR-D");
+      obs::ScopedFlopStep step("RR-D");
       la::hermitian_eig(*P, evals_, *Q);
     }
     {
       obs::TraceSpan t("RR-SR", "chfes");
-      ScopedFlopStep step("RR-SR");
+      obs::ScopedFlopStep step("RR-SR");
       auto Xr = ws.checkout(n, N);
       la::gemm('N', 'N', T(1), X_, *Q, T(0), *Xr);
       Xr.swap(X_);

@@ -3,8 +3,8 @@
 #include <cmath>
 
 #include "fe/gradient.hpp"
+#include "obs/context.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace dftfe::ks {
@@ -233,15 +233,15 @@ double KohnShamDFT<T>::find_fermi_level() const {
 template <class T>
 std::vector<double> KohnShamDFT<T>::compute_density(double mu) {
   obs::TraceSpan t("DC", "scf");
-  ScopedFlopStep step("DC");
+  obs::ScopedFlopStep step("DC");
   const index_t n = dofh_->ndofs();
   const auto& mass = dofh_->mass();
   std::vector<double> rho(n, 0.0);
   for (std::size_t ik = 0; ik < kpts_.size(); ++ik) {
     const auto f = occupations(static_cast<int>(ik), mu);
     const auto& X = solvers_[ik]->subspace();
-    FlopCounter::global().add(3.0 * static_cast<double>(n) * X.cols() *
-                              scalar_traits<T>::flop_factor);
+    obs::Context::current().flops().add(3.0 * static_cast<double>(n) * X.cols() *
+                                        scalar_traits<T>::flop_factor);
     if (ik < backends_.size()) {
       // Backend DC: serial runs the identical row loop; threaded accumulates
       // each lane's disjoint owned rows (bitwise equal for a given subspace).
@@ -293,7 +293,7 @@ EnergyBreakdown KohnShamDFT<T>::compute_energy(const std::vector<double>& rho_ou
 template <class T>
 ScfResult KohnShamDFT<T>::solve() {
   obs::TraceSpan span("SCF", "scf");
-  auto& metrics = obs::MetricsRegistry::global();
+  auto& metrics = obs::Context::current().metrics();
   const index_t n = dofh_->ndofs();
   const auto& mass = dofh_->mass();
   nstates_ = opt_.nstates > 0
@@ -345,10 +345,9 @@ ScfResult KohnShamDFT<T>::solve() {
       [be = es_backend_.get()](const std::vector<double>& x, std::vector<double>& y) {
         be->apply(x, y);
       });
-  obs::MetricsRegistry::global().gauge_set(
-      "scf.backend.threaded", opt_.backend.kind == dd::BackendKind::threaded ? 1.0 : 0.0);
-  obs::MetricsRegistry::global().gauge_set("scf.backend.nlanes",
-                                           static_cast<double>(backends_[0]->nlanes()));
+  metrics.gauge_set("scf.backend.threaded",
+                    opt_.backend.kind == dd::BackendKind::threaded ? 1.0 : 0.0);
+  metrics.gauge_set("scf.backend.nlanes", static_cast<double>(backends_[0]->nlanes()));
 
   // Fresh start or checkpoint resume. A resumed solve reinstalls the mixed
   // density, Poisson warm start, Anderson history, and per-k subspaces /

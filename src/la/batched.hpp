@@ -11,8 +11,8 @@
 #include <omp.h>
 
 #include "base/defs.hpp"
-#include "base/flops.hpp"
 #include "la/matrix.hpp"
+#include "obs/context.hpp"
 
 namespace dftfe::la {
 
@@ -29,7 +29,8 @@ void gemm_strided_batched(char transa, char transb, index_t m, index_t n, index_
   // Count only when multiply-add work actually happens: degenerate calls
   // (empty inner extent or alpha == 0) only perform the beta scaling below.
   if (!degenerate)
-    FlopCounter::global().add(2.0 * m * n * k * batch * scalar_traits<T>::flop_factor);
+    obs::Context::current().flops().add(2.0 * m * n * k * batch *
+                                        scalar_traits<T>::flop_factor);
 
   const bool ta = (transa == 'T' || transa == 'C');
   const bool ca = (transa == 'C');

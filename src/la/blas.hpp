@@ -11,8 +11,8 @@
 // The GEMM packs op(A)/op(B) tiles into contiguous buffers and runs a single
 // vectorizable micro-kernel, parallelized with OpenMP over output tiles.
 // Every call adds its analytic FLOP count (2*m*n*k, x4 for complex) to the
-// global FlopCounter, which is how the bench harness reproduces the paper's
-// FLOP-count methodology (Sec. 6.3).
+// current obs::Context's FlopCounter, which is how the bench harness
+// reproduces the paper's FLOP-count methodology (Sec. 6.3).
 
 #include <omp.h>
 
@@ -20,9 +20,9 @@
 #include <vector>
 
 #include "base/defs.hpp"
-#include "base/flops.hpp"
 #include "la/matrix.hpp"
 #include "la/workspace.hpp"
+#include "obs/context.hpp"
 
 namespace dftfe::la {
 
@@ -94,8 +94,8 @@ void gemm(char transa, char transb, index_t m, index_t n, index_t k, T alpha, co
   if (k <= 0 || alpha == T{}) return;
   // Count only when multiply-add work actually happens (degenerate calls —
   // empty extents or alpha == 0 — returned above without doing 2mnk work).
-  FlopCounter::global().add(2.0 * static_cast<double>(m) * static_cast<double>(n) *
-                            static_cast<double>(k) * scalar_traits<T>::flop_factor);
+  obs::Context::current().flops().add(2.0 * static_cast<double>(m) * static_cast<double>(n) *
+                                      static_cast<double>(k) * scalar_traits<T>::flop_factor);
 
   const index_t mtiles = (m + kMC - 1) / kMC;
   const index_t ntiles = (n + kNC - 1) / kNC;
@@ -192,7 +192,7 @@ void gemm(char transa, char transb, T alpha, const Matrix<T>& A, const Matrix<T>
 
 template <class T>
 void axpy(index_t n, T alpha, const T* x, T* y) {
-  FlopCounter::global().add(2.0 * n * scalar_traits<T>::flop_factor);
+  obs::Context::current().flops().add(2.0 * n * scalar_traits<T>::flop_factor);
 #pragma omp parallel for if (n > 8192)
   for (index_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
@@ -206,7 +206,7 @@ void scal(index_t n, T alpha, T* x) {
 /// Conjugated dot product <x, y> = sum conj(x_i) y_i.
 template <class T>
 T dotc(index_t n, const T* x, const T* y) {
-  FlopCounter::global().add(2.0 * n * scalar_traits<T>::flop_factor);
+  obs::Context::current().flops().add(2.0 * n * scalar_traits<T>::flop_factor);
   if constexpr (scalar_traits<T>::is_complex) {
     double re = 0.0, im = 0.0;
 #pragma omp parallel for reduction(+ : re, im) if (n > 8192)

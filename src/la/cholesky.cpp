@@ -3,14 +3,14 @@
 #include <cmath>
 
 #include "base/defs.hpp"
-#include "base/flops.hpp"
+#include "obs/context.hpp"
 
 namespace dftfe::la {
 
 template <class T>
 bool cholesky_lower(Matrix<T>& A) {
   const index_t n = A.rows();
-  FlopCounter::global().add(n * n * n / 3.0 * scalar_traits<T>::flop_factor);
+  obs::Context::current().flops().add(n * n * n / 3.0 * scalar_traits<T>::flop_factor);
   for (index_t j = 0; j < n; ++j) {
     double djj = scalar_traits<T>::real(A(j, j));
     for (index_t k = 0; k < j; ++k) djj -= scalar_traits<T>::abs2(A(j, k));
@@ -31,7 +31,7 @@ bool cholesky_lower(Matrix<T>& A) {
 template <class T>
 void invert_lower_triangular(Matrix<T>& L) {
   const index_t n = L.rows();
-  FlopCounter::global().add(n * n * n / 3.0 * scalar_traits<T>::flop_factor);
+  obs::Context::current().flops().add(n * n * n / 3.0 * scalar_traits<T>::flop_factor);
   // Column-oriented forward substitution: solve L X = I in place.
   Matrix<T> X(n, n);
   for (index_t j = 0; j < n; ++j) {

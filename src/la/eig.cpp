@@ -6,7 +6,7 @@
 #include <stdexcept>
 
 #include "base/defs.hpp"
-#include "base/flops.hpp"
+#include "obs/context.hpp"
 
 namespace dftfe::la {
 
@@ -145,7 +145,8 @@ void tql2(std::vector<double>& d, std::vector<double>& e, Matrix<double>& z) {
 void symmetric_eig(const Matrix<double>& A, std::vector<double>& evals,
                    Matrix<double>& evecs) {
   const index_t n = A.rows();
-  FlopCounter::global().add(9.0 * n * n * n);  // ~9n^3 for tridiag + QL with vectors
+  // ~9n^3 for tridiag + QL with vectors
+  obs::Context::current().flops().add(9.0 * n * n * n);
   evecs = A;
   std::vector<double> e;
   tred2(evecs, evals, e);

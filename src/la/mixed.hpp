@@ -20,6 +20,7 @@
 #include "la/matrix.hpp"
 #include "la/view.hpp"
 #include "la/workspace.hpp"
+#include "obs/context.hpp"
 
 namespace dftfe::la {
 
@@ -202,10 +203,17 @@ void overlap_hermitian_partial(ConstSpan2D<T> A, ConstSpan2D<T> B, Matrix<T>& S,
   }
   // Several block pairs are independent writes: the outer collapse is the
   // parallelization, and gemm's nested region runs as a one-thread team.
-#pragma omp parallel for collapse(2) schedule(dynamic)
-  for (index_t bi = 0; bi < nblk; ++bi)
-    for (index_t bj = 0; bj < nblk; ++bj)
-      if (bj >= bi) block_pair(bi, bj);
+  // OpenMP workers do not inherit the caller's telemetry context; each
+  // installs it, so the block GEMMs' FLOPs land in the caller's counter.
+  obs::Context* const ctx = &obs::Context::current();
+#pragma omp parallel
+  {
+    obs::ContextGuard guard(*ctx);
+#pragma omp for collapse(2) schedule(dynamic)
+    for (index_t bi = 0; bi < nblk; ++bi)
+      for (index_t bj = 0; bj < nblk; ++bj)
+        if (bj >= bi) block_pair(bi, bj);
+  }
 }
 
 /// Hermitian completion of a (summed) upper-block-triangle overlap: average

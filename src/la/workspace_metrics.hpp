@@ -5,14 +5,14 @@
 // marks / lease counts as gauges under the RunReport memory-ledger
 // vocabulary (mem.workspace.*, mem.pool.<name>.*).
 //
-// Kept out of workspace.hpp on purpose: the la target does not link obs, so
-// this header may only be included from TUs that do (core, bench, examples,
+// Kept out of workspace.hpp so the allocation layer does not pull in the
+// registry; it is called at report-emission points (core, bench, examples,
 // tests) — everything here is inline and instantiated at the call site.
 
 #include <complex>
 
 #include "la/workspace.hpp"
-#include "obs/metrics.hpp"
+#include "obs/context.hpp"
 
 namespace dftfe::la {
 
@@ -25,10 +25,10 @@ inline void publish_pool_metrics(const char* name, const Workspace<T>& pool,
   metrics.gauge_set(prefix + ".leases", static_cast<double>(pool.leases()));
 }
 
-/// Snapshot the workspace layer into gauges. Call at report-emission points
-/// (end of a simulation or bench), not on the hot path.
-inline void publish_workspace_metrics(
-    obs::MetricsRegistry& metrics = obs::MetricsRegistry::global()) {
+/// Snapshot the workspace layer into the current context's gauges. Call at
+/// report-emission points (end of a simulation or bench), not on the hot path.
+inline void publish_workspace_metrics() {
+  obs::MetricsRegistry& metrics = obs::Context::current().metrics();
   metrics.gauge_set("mem.workspace.allocations",
                     static_cast<double>(WorkspaceCounters::allocations()));
   metrics.gauge_set("mem.workspace.bytes_allocated",

@@ -70,7 +70,21 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-std::string chrome_trace_json(const TraceRecorder& rec) {
+void append_profile_json(std::ostream& os,
+                         const std::map<std::string, Histogram, std::less<>>& histograms) {
+  os << '{';
+  bool first = true;
+  for (const auto& [name, h] : histograms) {
+    if (!first) os << ',';
+    first = false;
+    os << '"' << json_escape(name) << "\":{\"seconds\":" << json_num(h.sum)
+       << ",\"count\":" << h.count << '}';
+  }
+  os << '}';
+}
+
+std::string chrome_trace_json(const Context& ctx) {
+  const TraceRecorder& rec = ctx.trace();
   const auto events = rec.events();
   // Lane-tagged spans render one row per slab-rank lane: the lane id becomes
   // the Chrome tid. Untagged (driver/main) spans keep their OS-thread ids,
@@ -112,16 +126,16 @@ std::string chrome_trace_json(const TraceRecorder& rec) {
   return os.str();
 }
 
-bool write_chrome_trace(const std::string& path, const TraceRecorder& rec) {
+bool write_chrome_trace(const std::string& path, const Context& ctx) {
   std::ofstream f(path);
   if (!f) return false;
-  f << chrome_trace_json(rec) << '\n';
+  f << chrome_trace_json(ctx) << '\n';
   return static_cast<bool>(f);
 }
 
-std::string metrics_snapshot_json(const MetricsRegistry& metrics,
-                                  const ProfileRegistry& profile, const FlopCounter& flops) {
-  const auto snap = metrics.snapshot();
+std::string metrics_snapshot_json(const Context& ctx) {
+  const auto snap = ctx.metrics().snapshot();
+  const FlopCounter& flops = ctx.flops();
   std::ostringstream os;
   os << "{\"schema\":\"dftfe.metrics.v1\"";
 
@@ -144,15 +158,8 @@ std::string metrics_snapshot_json(const MetricsRegistry& metrics,
   }
   os << '}';
 
-  os << ",\"profile\":{";
-  first = true;
-  for (const auto& [name, entry] : profile.entries()) {
-    if (!first) os << ',';
-    first = false;
-    os << '"' << json_escape(name) << "\":{\"seconds\":" << json_num(entry.seconds)
-       << ",\"count\":" << entry.count << '}';
-  }
-  os << '}';
+  os << ",\"profile\":";
+  append_profile_json(os, snap.histograms);
 
   os << ",\"histograms\":{";
   first = true;
@@ -181,16 +188,14 @@ std::string metrics_snapshot_json(const MetricsRegistry& metrics,
   return os.str();
 }
 
-bool write_metrics_snapshot(const std::string& path, const MetricsRegistry& metrics,
-                            const ProfileRegistry& profile, const FlopCounter& flops) {
+bool write_metrics_snapshot(const std::string& path, const Context& ctx) {
   std::ofstream f(path);
   if (!f) return false;
-  f << metrics_snapshot_json(metrics, profile, flops) << '\n';
+  f << metrics_snapshot_json(ctx) << '\n';
   return static_cast<bool>(f);
 }
 
-TextTable step_breakdown_table(double total_wall, double peak_gflops,
-                               const ProfileRegistry& profile, const FlopCounter& flops) {
+TextTable step_breakdown_table(double total_wall, double peak_gflops, const Context& ctx) {
   std::vector<std::string> header = {"step", "wall (s)", "GFLOP", "GFLOPS"};
   if (peak_gflops > 0.0) header.push_back("% of calibrated peak");
   TextTable t(header);
@@ -199,8 +204,8 @@ TextTable step_breakdown_table(double total_wall, double peak_gflops,
   };
   double accounted = 0.0, gflop_total = 0.0;
   for (const auto& step : canonical_steps()) {
-    const double wall = profile.seconds(step.name);
-    const double gf = flops.step(step.name) / 1e9;
+    const double wall = ctx.metrics().histogram(step.name).sum;
+    const double gf = ctx.flops().step(step.name) / 1e9;
     accounted += wall;
     if (!step.minor) gflop_total += gf;
     const double rate = gf / std::max(wall, 1e-9);
@@ -226,8 +231,8 @@ TextTable step_breakdown_table(double total_wall, double peak_gflops,
   return t;
 }
 
-TextTable lane_breakdown_table(const TraceRecorder& rec) {
-  const auto events = rec.events();
+TextTable lane_breakdown_table(const Context& ctx) {
+  const auto events = ctx.trace().events();
   int nlanes = 0;
   for (const auto& ev : events) nlanes = std::max(nlanes, ev.lane + 1);
   // Aggregate by (name, lane), keeping first-seen name order for the rows.

@@ -7,10 +7,12 @@
 // This is the machine-readable side of the convergence diagnostics the
 // solvers previously printf'd: SCF residual and Fermi level per iteration,
 // Anderson mixing depth, Poisson PCG and adjoint block-MINRES iteration
-// counts, Chebyshev filter degree and block size. Snapshots serialize to
-// JSON via obs/export.hpp alongside the ProfileRegistry wall times and
-// FlopCounter per-step FLOPs, and roll up into the per-run RunReport
-// artifact (obs/report.hpp).
+// counts, Chebyshev filter degree and block size. Every obs::TraceSpan
+// records its duration into the histogram of its name, so the per-step wall
+// totals are the span histograms' sum/count. Snapshots serialize to JSON via
+// obs/export.hpp alongside the FlopCounter per-step FLOPs, and roll up into
+// the per-run RunReport artifact (obs/report.hpp). The registry producers
+// record into is the one in obs::Context::current() (obs/context.hpp).
 //
 // All operations are mutex-guarded; recording from OpenMP-parallel sections
 // is safe. Keep calls at per-iteration granularity (not inner loops).
@@ -157,16 +159,6 @@ class MetricsRegistry {
     series_.clear();
     histograms_.clear();
   }
-
-  /// The registry global() resolves to on the calling thread: the process-
-  /// wide registry by default, or a per-job registry installed by
-  /// obs::JobScope (obs/scope.hpp) so N concurrent jobs in one process do
-  /// not interleave their scf.* series / gauges in a single map.
-  static MetricsRegistry& global();
-  /// Thread-local override slot backing global(). Null (the default) means
-  /// the process-wide registry. Managed by obs::JobScope — install/restore
-  /// through that RAII type, not by writing the slot directly.
-  static MetricsRegistry*& thread_override();
 
  private:
   mutable std::mutex mu_;

@@ -209,21 +209,18 @@ void parse_histogram(const JsonValue& v, Histogram& h) {
 
 }  // namespace
 
-RunReport build_run_report(const std::string& label, double wall_s, const TraceRecorder& rec,
-                           const MetricsRegistry& metrics, const ProfileRegistry& profile,
-                           const FlopCounter& flops) {
+RunReport build_run_report(const std::string& label, double wall_s, const Context& ctx) {
   RunReport r;
   r.label = label;
 
-  const auto snap = metrics.snapshot();
+  const auto snap = ctx.metrics().snapshot();
   r.counters = snap.counters;
   r.gauges = snap.gauges;
   r.histograms = snap.histograms;
-  r.profile = profile.entries();
-  r.flops_total = flops.total();
-  r.flop_steps = flops.steps();
+  r.flops_total = ctx.flops().total();
+  r.flop_steps = ctx.flops().steps();
 
-  const auto events = rec.events();
+  const auto events = ctx.trace().events();
   r.spans = aggregate_spans(events);
 
   if (wall_s >= 0.0) {
@@ -236,7 +233,7 @@ RunReport build_run_report(const std::string& label, double wall_s, const TraceR
     }
     r.wall_s = (t1 - t0) * 1e-6;
   } else {
-    r.wall_s = profile.seconds("Simulation-run");
+    r.wall_s = ctx.metrics().histogram("Simulation-run").sum;
   }
 
   // Communication ledger: the engine publishes per-job deltas under the
@@ -297,9 +294,9 @@ RunReport build_run_report(const std::string& label, double wall_s, const TraceR
     for (auto& [lane, line] : lanes) r.memory.lanes.push_back(line);
   }
 
-  // Convergence record: everything the SCF loop appended under scf.*.
-  for (const auto& [name, values] : snap.series)
-    if (std::string_view{name}.substr(0, 4) == "scf.") r.convergence.series[name] = values;
+  // Convergence record: every series, so the inner solves' iteration counts
+  // (poisson.*, invdft*.minres_iterations, relax.*) explain their wall.
+  r.convergence.series = snap.series;
   {
     auto it = r.convergence.series.find("scf.residual");
     if (it != r.convergence.series.end() && !it->second.empty()) {
@@ -309,7 +306,7 @@ RunReport build_run_report(const std::string& label, double wall_s, const TraceR
   }
   r.convergence.converged = lookup(snap.gauges, "scf.converged") != 0.0;
   r.convergence.fp32_drift_rms = r.comm.fp32_drift_rms;
-  r.convergence.trace_dropped = static_cast<std::int64_t>(rec.dropped());
+  r.convergence.trace_dropped = static_cast<std::int64_t>(ctx.trace().dropped());
 
   // Lane count: whatever dimension the run actually exercised.
   std::int64_t nlanes = static_cast<std::int64_t>(lookup(snap.gauges, "scf.backend.nlanes"));
@@ -404,15 +401,8 @@ std::string run_report_json(const RunReport& r) {
   }
   os << '}';
 
-  os << ",\"profile\":{";
-  first = true;
-  for (const auto& [name, entry] : r.profile) {
-    if (!first) os << ',';
-    first = false;
-    os << '"' << json_escape(name) << "\":{\"seconds\":" << json_num(entry.seconds)
-       << ",\"count\":" << entry.count << '}';
-  }
-  os << '}';
+  os << ",\"profile\":";
+  append_profile_json(os, r.histograms);
 
   os << ",\"counters\":";
   emit_scalar_map(os, r.counters);
@@ -521,13 +511,6 @@ bool parse_run_report(const std::string& text, RunReport& out) {
 
   if (const JsonValue* hists = doc.find("histograms"); hists && hists->is_object())
     for (const auto& [name, h] : hists->obj) parse_histogram(h, out.histograms[name]);
-
-  if (const JsonValue* prof = doc.find("profile"); prof && prof->is_object())
-    for (const auto& [name, e] : prof->obj) {
-      auto& entry = out.profile[name];
-      entry.seconds = num_at(e, "seconds");
-      entry.count = int_at(e, "count");
-    }
 
   if (const JsonValue* counters = doc.find("counters"); counters && counters->is_object())
     for (const auto& [name, v] : counters->obj) out.counters[name] = v.as_num();

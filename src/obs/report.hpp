@@ -11,16 +11,18 @@
 //     time, and the FP32-wire drift error-budget gauge,
 //   * a memory ledger — Workspace allocation counters, named pool high-water
 //     marks / lease counts, and per-lane engine working-set high-water marks,
-//   * a convergence record — the scf.* time series (residual, Fermi level,
-//     band energy, Anderson depth, Chebyshev degree) plus a numerical-health
-//     section,
-//   * the bounded-memory span-duration / message-latency histograms, and the
-//     raw ProfileRegistry / FlopCounter / counter / gauge dumps.
+//   * a convergence record — every time series the run appended: the scf.*
+//     series (residual, Fermi level, band energy, Anderson depth, Chebyshev
+//     degree) and the inner solves' (poisson.iterations,
+//     invdft*.minres_iterations, relax.*), plus a numerical-health section,
+//   * the bounded-memory span-duration / message-latency histograms, their
+//     per-step wall "profile" view (sum/count per span name), and the raw
+//     FlopCounter / counter / gauge dumps.
 //
-// The producers push everything into MetricsRegistry::global() under the
-// ledger vocabulary (comm.wire.*, comm.halo.*, comm.lane<k>.*, mem.*,
-// scf.*); build_run_report() only *reads* registries, so obs stays at the
-// bottom of the layer stack.
+// The producers push everything into the current obs::Context's registry
+// under the ledger vocabulary (comm.wire.*, comm.halo.*, comm.lane<k>.*,
+// mem.*, scf.*); build_run_report() only *reads* the context, so obs stays
+// at the bottom of the layer stack.
 //
 // Schema: "dftfe.runreport.v1". Versioning policy: fields are append-only
 // within a major version — readers must ignore unknown keys; removing or
@@ -35,10 +37,7 @@
 #include <string>
 #include <vector>
 
-#include "base/flops.hpp"
-#include "base/timer.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/context.hpp"
 
 namespace dftfe::obs {
 
@@ -96,7 +95,7 @@ struct ConvergenceRecord {
   std::int64_t iterations = 0;
   bool converged = false;
   double residual_final = 0.0;
-  std::map<std::string, std::vector<double>, std::less<>> series;  // scf.* time series
+  std::map<std::string, std::vector<double>, std::less<>> series;  // every time series
   // Numerical-health section.
   double fp32_drift_rms = 0.0;
   std::int64_t trace_dropped = 0;
@@ -110,22 +109,19 @@ struct RunReport {
   CommLedger comm;
   MemoryLedger memory;
   ConvergenceRecord convergence;
+  // Span histograms; the JSON "profile" section is emitted from them.
   std::map<std::string, Histogram, std::less<>> histograms;
-  std::map<std::string, ProfileRegistry::Entry> profile;
   std::map<std::string, double, std::less<>> counters;
   std::map<std::string, double, std::less<>> gauges;
   double flops_total = 0.0;
   std::map<std::string, double> flop_steps;
 };
 
-/// Assemble a RunReport from the live registries. `wall_s < 0` derives the
-/// wall from the recorded span timestamps (falling back to the
-/// "Simulation-run" profile bucket when tracing is compiled out).
+/// Assemble a RunReport from a live context. `wall_s < 0` derives the wall
+/// from the recorded span timestamps (falling back to the "Simulation-run"
+/// span histogram when tracing is compiled out).
 RunReport build_run_report(const std::string& label, double wall_s = -1.0,
-                           const TraceRecorder& rec = TraceRecorder::global(),
-                           const MetricsRegistry& metrics = MetricsRegistry::global(),
-                           const ProfileRegistry& profile = ProfileRegistry::global(),
-                           const FlopCounter& flops = FlopCounter::global());
+                           const Context& ctx = Context::current());
 
 /// Serialize (schema dftfe.runreport.v1, single line, deterministic order).
 std::string run_report_json(const RunReport& report);

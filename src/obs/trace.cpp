@@ -4,7 +4,7 @@
 #include <chrono>
 #include <utility>
 
-#include "obs/metrics.hpp"
+#include "obs/context.hpp"
 
 namespace dftfe::obs {
 
@@ -76,20 +76,8 @@ void TraceRecorder::set_capacity(std::size_t cap) {
   capacity_ = cap;
 }
 
-TraceRecorder*& TraceRecorder::thread_override() {
-  thread_local TraceRecorder* override_recorder = nullptr;
-  return override_recorder;
-}
-
-TraceRecorder& TraceRecorder::global() {
-  if (TraceRecorder* o = thread_override(); o != nullptr) return *o;
-  static TraceRecorder rec;
-  return rec;
-}
-
-TraceSpan::TraceSpan(std::string name, std::string category, TraceRecorder& rec,
-                     ProfileRegistry& reg)
-    : name_(std::move(name)), category_(std::move(category)), rec_(&rec), reg_(&reg) {
+TraceSpan::TraceSpan(std::string name, std::string category)
+    : name_(std::move(name)), category_(std::move(category)), ctx_(&Context::current()) {
 #if DFTFE_ENABLE_TRACING
   start_us_ = TraceRecorder::now_us();
   id_ = TraceRecorder::next_span_id();
@@ -100,9 +88,8 @@ TraceSpan::TraceSpan(std::string name, std::string category, TraceRecorder& rec,
   t_.reset();  // exclude the setup above from the measured interval
 }
 
-TraceSpan::TraceSpan(std::string name, std::string category, int lane, TraceRecorder& rec,
-                     ProfileRegistry& reg)
-    : TraceSpan(std::move(name), std::move(category), rec, reg) {
+TraceSpan::TraceSpan(std::string name, std::string category, int lane)
+    : TraceSpan(std::move(name), std::move(category)) {
   lane_ = lane;
   t_.reset();
 }
@@ -113,10 +100,10 @@ void TraceSpan::stop() {
   if (stopped_) return;
   stopped_ = true;
   const double seconds = t_.seconds();
-  reg_->add(name_, seconds);
-  // Span-duration distribution; zero steady-state allocation (transparent
-  // string_view lookup against an existing key).
-  MetricsRegistry::global().histogram_record(name_, seconds);
+  // Span-duration distribution, whose sum/count are the per-step wall
+  // totals; zero steady-state allocation (transparent string_view lookup
+  // against an existing key).
+  ctx_->metrics().histogram_record(name_, seconds);
 #if DFTFE_ENABLE_TRACING
   if (!t_span_stack.empty() && t_span_stack.back() == id_) t_span_stack.pop_back();
   TraceEvent ev;
@@ -129,7 +116,7 @@ void TraceSpan::stop() {
   ev.parent = parent_;
   ev.depth = depth_;
   ev.lane = lane_;
-  rec_->record(std::move(ev));
+  ctx_->trace().record(std::move(ev));
 #endif
 }
 

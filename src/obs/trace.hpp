@@ -2,12 +2,13 @@
 
 // Thread-safe hierarchical span tracer.
 //
-// A TraceSpan is an RAII section marker: construction pushes the span onto a
-// per-thread stack (establishing parent/child nesting), destruction records a
-// completed TraceEvent with steady-clock timestamps into the process-wide
-// TraceRecorder and adds the elapsed seconds to the ProfileRegistry bucket of
-// the same name. The recorder serializes to the Chrome trace-event JSON
-// format (chrome://tracing, Perfetto) via obs/export.hpp.
+// A TraceSpan is an RAII section marker: construction resolves the telemetry
+// context (obs/context.hpp) and pushes the span onto a per-thread stack
+// (establishing parent/child nesting); destruction records the elapsed
+// seconds into the context's span histogram of the same name and a completed
+// TraceEvent with steady-clock timestamps into the context's TraceRecorder.
+// The recorder serializes to the Chrome trace-event JSON format
+// (chrome://tracing, Perfetto) via obs/export.hpp.
 //
 // Span names follow the paper's step vocabulary (Sec. 6.3): CF, CholGS-S,
 // CholGS-CI, CholGS-O, RR-P, RR-D, RR-SR, DC, DH, EP — plus higher-level
@@ -16,7 +17,7 @@
 //
 // Build gate: configure with -DDFTFE_ENABLE_TRACING=OFF to compile event
 // capture out entirely; spans then degrade to plain section timers (the
-// aggregate ProfileRegistry totals that the bench tables consume survive,
+// span histograms — the per-step totals the bench tables consume — survive,
 // but no per-event timestamps are captured and the trace export is empty).
 
 #ifndef DFTFE_ENABLE_TRACING
@@ -69,13 +70,6 @@ class TraceRecorder {
   /// Dense id of the calling thread (assigned on first use).
   static std::uint32_t thread_id();
 
-  /// The recorder global() resolves to on the calling thread: process-wide
-  /// by default, or the per-job recorder installed by obs::JobScope so
-  /// concurrent jobs' span streams stay separable.
-  static TraceRecorder& global();
-  /// Thread-local override slot backing global(); managed by obs::JobScope.
-  static TraceRecorder*& thread_override();
-
  private:
   mutable std::mutex mu_;
   std::vector<TraceEvent> events_;
@@ -86,20 +80,19 @@ class TraceRecorder {
   std::atomic<bool> enabled_{true};
 };
 
-/// RAII span. Cheap enough for per-SCF-step granularity; not meant for
-/// per-element inner loops (use the FlopCounter for those).
+class Context;
+
+/// RAII span recording into the context current at construction. Cheap
+/// enough for per-SCF-step granularity; not meant for per-element inner
+/// loops (use the FlopCounter for those).
 class TraceSpan {
  public:
-  explicit TraceSpan(std::string name, std::string category = "step",
-                     TraceRecorder& rec = TraceRecorder::global(),
-                     ProfileRegistry& reg = ProfileRegistry::global());
+  explicit TraceSpan(std::string name, std::string category = "step");
   /// Lane-tagged span: identical to the default constructor, but the
   /// recorded event carries the slab-rank lane (the per-rank dimension of
-  /// the Table-3 step breakdown). Aggregate ProfileRegistry totals still
-  /// pool over lanes under the span's name.
-  TraceSpan(std::string name, std::string category, int lane,
-            TraceRecorder& rec = TraceRecorder::global(),
-            ProfileRegistry& reg = ProfileRegistry::global());
+  /// the Table-3 step breakdown). The span histogram still pools over lanes
+  /// under the span's name.
+  TraceSpan(std::string name, std::string category, int lane);
   ~TraceSpan();
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
@@ -111,8 +104,7 @@ class TraceSpan {
  private:
   std::string name_;
   std::string category_;
-  TraceRecorder* rec_;
-  ProfileRegistry* reg_;
+  Context* ctx_;
   int lane_ = -1;
   bool stopped_ = false;
   Timer t_;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/metrics.hpp"
+#include "obs/context.hpp"
 
 namespace dftfe::svc {
 
@@ -54,7 +54,7 @@ std::int64_t WorkspaceArena::highwater_bytes() const {
 }
 
 void WorkspaceArena::publish_metrics() const {
-  auto& m = obs::MetricsRegistry::global();
+  auto& m = obs::Context::current().metrics();
   m.gauge_set("svc.arena.bundles", static_cast<double>(bundles()));
   m.gauge_set("svc.arena.leases", static_cast<double>(leases()));
   m.gauge_set("svc.arena.lease_highwater", static_cast<double>(lease_highwater()));

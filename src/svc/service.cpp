@@ -4,9 +4,8 @@
 #include <filesystem>
 #include <stdexcept>
 
+#include "obs/context.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
-#include "obs/scope.hpp"
 #include "svc/checkpoint.hpp"
 
 namespace dftfe::svc {
@@ -37,7 +36,7 @@ bool JobService::submit(core::JobOptions job) {
   spec.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   spec.job = std::move(job);
   if (!queue_.push(std::move(spec))) return false;
-  obs::MetricsRegistry::global().counter_add("svc.jobs.submitted", 1.0);
+  obs::Context::current().metrics().counter_add("svc.jobs.submitted", 1.0);
   return true;
 }
 
@@ -47,7 +46,7 @@ std::vector<JobOutcome> JobService::drain() {
     queue_.close();
     for (auto& t : workers_) t.join();
     workers_.clear();
-    auto& m = obs::MetricsRegistry::global();
+    auto& m = obs::Context::current().metrics();
     m.gauge_set("svc.workers", static_cast<double>(opt_.workers));
     m.gauge_set("svc.queue.capacity", static_cast<double>(queue_.capacity()));
     m.gauge_set("svc.queue.highwater", static_cast<double>(queue_.highwater()));
@@ -81,15 +80,16 @@ JobOutcome JobService::run_one(int w, Spec spec) {
   JobOutcome out;
   out.name = spec.job.name;
   out.worker = w;
-  // The process registry, resolved before the per-job scope installs: the
+  // The process registry, resolved before the job's context installs: the
   // svc.jobs.* fleet counters cross job boundaries.
-  obs::MetricsRegistry& proc = obs::MetricsRegistry::global();
-  // Ordering is load-bearing: the workspace lease outlives the obs scope,
-  // which outlives the job — the job's engine lanes (which adopt the scope
-  // and lease scratch) are joined by the solver teardown before either
-  // unwinds (see obs/scope.hpp lifetime rule).
+  obs::MetricsRegistry& proc = obs::Context::current().metrics();
+  // Ordering is load-bearing: the workspace lease outlives the job's
+  // context, which outlives the job — the job's engine lanes (which install
+  // the context and lease scratch) are joined by the solver teardown before
+  // either unwinds (see the obs/context.hpp lifetime rule).
   WorkspaceArena::Lease lease(arena_);
-  obs::JobScope scope;
+  obs::Context ctx;
+  obs::ContextGuard guard(ctx);
   try {
     if (spec.job.report_path.empty() && !opt_.report_dir.empty()) {
       spec.job.report_path = opt_.report_dir;
@@ -107,7 +107,7 @@ JobOutcome JobService::run_one(int w, Spec spec) {
                                user_hook = std::move(user_hook)](core::JobState& j, int done) {
         if (done % every == 0) {
           if (write_checkpoint(ckpt, {name, j.save_scf_state()}))
-            obs::MetricsRegistry::global().counter_add("job.checkpoint.writes", 1.0);
+            obs::Context::current().metrics().counter_add("job.checkpoint.writes", 1.0);
           else
             DFTFE_LOG(warn) << "[svc] checkpoint write failed: " << ckpt;
         }

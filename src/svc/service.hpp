@@ -9,8 +9,9 @@
 //   1. leases a workspace bundle from the global WorkspaceArena
 //      (svc/arena.hpp) — la::Workspace<T>::global() resolves to the job's
 //      private pools for the job's whole lifetime;
-//   2. opens an obs::JobScope — the job's metrics/traces/report land in
-//      per-job registries, not interleaved with other tenants;
+//   2. installs a per-job obs::Context — the job's metrics/traces/FLOPs/
+//      report land in the job's own context, not interleaved with other
+//      tenants;
 //   3. wires checkpointing: if a dftfe.checkpoint.v1 artifact for the job
 //      name exists in checkpoint_dir, the job resumes from it; every
 //      checkpoint_every completed iterations the current ks::ScfState is

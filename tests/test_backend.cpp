@@ -21,7 +21,7 @@
 #include "ks/scf.hpp"
 #include "la/matrix.hpp"
 #include "la/mixed.hpp"
-#include "obs/metrics.hpp"
+#include "obs/context.hpp"
 #include "xc/lda.hpp"
 
 #include <omp.h>
@@ -256,7 +256,8 @@ ScfPair run_scf_pair(const fe::DofHandler& dofh, const ks::ScfOptions& base,
       dft.set_external_potential(vext, nelec);
     auto res = dft.solve();
     const double expect_threaded = pass == 1 ? 1.0 : 0.0;
-    EXPECT_EQ(obs::MetricsRegistry::global().gauge("scf.backend.threaded"), expect_threaded);
+    EXPECT_EQ(obs::Context::current().metrics().gauge("scf.backend.threaded"),
+              expect_threaded);
     if (pass == 0) {
       out.serial = res;
       out.rho_serial = dft.density();

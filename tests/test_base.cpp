@@ -10,6 +10,7 @@
 #include "base/rng.hpp"
 #include "base/table.hpp"
 #include "base/timer.hpp"
+#include "obs/context.hpp"
 
 namespace dftfe {
 namespace {
@@ -29,28 +30,6 @@ TEST(Timer, ResetRestartsClock) {
   EXPECT_LT(t.seconds(), 0.015);
 }
 
-TEST(ProfileRegistry, AccumulatesNamedSections) {
-  ProfileRegistry reg;
-  reg.add("CF", 1.5);
-  reg.add("CF", 0.5);
-  reg.add("RR-P", 0.25);
-  EXPECT_DOUBLE_EQ(reg.seconds("CF"), 2.0);
-  EXPECT_EQ(reg.find("CF")->count, 2);
-  EXPECT_DOUBLE_EQ(reg.seconds("RR-P"), 0.25);
-  EXPECT_DOUBLE_EQ(reg.seconds("missing"), 0.0);
-  EXPECT_EQ(reg.find("missing"), nullptr);
-}
-
-TEST(ProfileRegistry, ScopedTimerFeedsRegistry) {
-  ProfileRegistry reg;
-  {
-    ScopedTimer st("section", reg);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_GE(reg.seconds("section"), 0.005);
-  EXPECT_EQ(reg.find("section")->count, 1);
-}
-
 TEST(FlopCounter, CountsAndAttributesSteps) {
   FlopCounter c;
   c.add(100.0);
@@ -66,16 +45,16 @@ TEST(FlopCounter, CountsAndAttributesSteps) {
 }
 
 TEST(FlopCounter, ScopedStepRestoresUnattributed) {
-  FlopCounter& g = FlopCounter::global();
-  g.clear();
+  obs::Context ctx;
+  obs::ContextGuard guard(ctx);
+  FlopCounter& g = ctx.flops();
   {
-    ScopedFlopStep step("CholGS-S");
+    obs::ScopedFlopStep step("CholGS-S");
     g.add(42.0);
   }
   g.add(1.0);
   EXPECT_DOUBLE_EQ(g.step("CholGS-S"), 42.0);
   EXPECT_DOUBLE_EQ(g.total(), 43.0);
-  g.clear();
 }
 
 TEST(FlopCounter, ThreadSafeAccumulation) {

@@ -13,7 +13,7 @@
 #include "ks/hamiltonian.hpp"
 #include "ks/scf.hpp"
 #include "la/eig.hpp"
-#include "obs/metrics.hpp"
+#include "obs/context.hpp"
 #include "xc/lda.hpp"
 
 namespace dftfe::ks {
@@ -191,8 +191,8 @@ TEST(Chfes, SubspaceIsOrthonormalAfterCycle) {
 }
 
 TEST(Chfes, RecordsStepTimingsAndFlops) {
-  ProfileRegistry::global().clear();
-  FlopCounter::global().clear();
+  obs::Context ctx;
+  obs::ContextGuard guard(ctx);
   const fe::Mesh m = fe::make_uniform_mesh(3.0, 2, true);
   fe::DofHandler dofh(m, 3);
   Hamiltonian<double> H(dofh);
@@ -201,13 +201,11 @@ TEST(Chfes, RecordsStepTimingsAndFlops) {
   solver.initialize_random(17);
   solver.cycle();
   for (const char* step : {"CF", "CholGS-S", "CholGS-CI", "CholGS-O", "RR-P", "RR-D", "RR-SR"}) {
-    EXPECT_NE(ProfileRegistry::global().find(step), nullptr) << step;
-    EXPECT_GT(ProfileRegistry::global().seconds(step), 0.0) << step;
+    EXPECT_GT(ctx.metrics().histogram(step).count, 0u) << step;
+    EXPECT_GT(ctx.metrics().histogram(step).sum, 0.0) << step;
   }
-  EXPECT_GT(FlopCounter::global().step("CF"), 0.0);
-  EXPECT_GT(FlopCounter::global().step("RR-SR"), 0.0);
-  ProfileRegistry::global().clear();
-  FlopCounter::global().clear();
+  EXPECT_GT(ctx.flops().step("CF"), 0.0);
+  EXPECT_GT(ctx.flops().step("RR-SR"), 0.0);
 }
 
 TEST(Chfes, CholeskyBreakdownRegularizationRetry) {
@@ -225,9 +223,9 @@ TEST(Chfes, CholeskyBreakdownRegularizationRetry) {
   for (index_t j = 1; j < X.cols(); ++j)
     std::copy(X.col(0), X.col(0) + X.rows(), X.col(j));
   const double retries_before =
-      obs::MetricsRegistry::global().counter("chfes.cholesky_retries");
+      obs::Context::current().metrics().counter("chfes.cholesky_retries");
   ASSERT_NO_THROW(solver.cycle());
-  EXPECT_GT(obs::MetricsRegistry::global().counter("chfes.cholesky_retries"), retries_before);
+  EXPECT_GT(obs::Context::current().metrics().counter("chfes.cholesky_retries"), retries_before);
   ASSERT_EQ(solver.eigenvalues().size(), 6u);
   for (double ev : solver.eigenvalues()) EXPECT_TRUE(std::isfinite(ev)) << ev;
 }
@@ -379,9 +377,9 @@ TEST(Scf, AndersonHistoryTruncatesAtMaxDepth) {
   KohnShamDFT<double> dft(dofh, nullptr, {}, opt);
   dft.set_external_potential(trap_potential(dofh, L), 2.0);
   const std::size_t before =
-      obs::MetricsRegistry::global().series("scf.anderson_depth").size();
+      obs::Context::current().metrics().series("scf.anderson_depth").size();
   dft.solve();
-  const auto s = obs::MetricsRegistry::global().series("scf.anderson_depth");
+  const auto s = obs::Context::current().metrics().series("scf.anderson_depth");
   ASSERT_EQ(s.size(), before + 6);
   EXPECT_EQ(s[before + 0], 0.0);
   EXPECT_EQ(s[before + 1], 1.0);
@@ -442,7 +440,7 @@ TEST(Scf, CholeskyRetryEngagesInsideFullScf) {
     dft.set_external_potential(trap_potential(dofh, L), 2.0);
     return dft.solve();
   };
-  auto& metrics = obs::MetricsRegistry::global();
+  auto& metrics = obs::Context::current().metrics();
   const double before = metrics.counter("chfes.cholesky_retries");
   const auto healthy = run(30);
   EXPECT_EQ(metrics.counter("chfes.cholesky_retries"), before)

@@ -4,11 +4,11 @@
 // with per-column shifts, Lanczos spectrum bounds, mixed-precision kernels.
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cmath>
 #include <tuple>
 
-#include "base/flops.hpp"
 #include "base/rng.hpp"
 #include "la/batched.hpp"
 #include "la/blas.hpp"
@@ -16,6 +16,8 @@
 #include "la/eig.hpp"
 #include "la/iterative.hpp"
 #include "la/mixed.hpp"
+#include "la/view.hpp"
+#include "obs/context.hpp"
 
 namespace dftfe::la {
 namespace {
@@ -139,8 +141,9 @@ TEST(Gemm, AlphaZeroScalesOnly) {
 }
 
 TEST(Gemm, CountsAnalyticFlops) {
-  auto& fc = FlopCounter::global();
-  fc.clear();
+  obs::Context ctx;
+  obs::ContextGuard guard(ctx);
+  FlopCounter& fc = ctx.flops();
   Rng rng(9);
   Matrix<double> A = random_matrix<double>(10, 20, rng);
   Matrix<double> B = random_matrix<double>(20, 30, rng);
@@ -152,7 +155,6 @@ TEST(Gemm, CountsAnalyticFlops) {
   Matrix<complex_t> Cz(4, 4);
   gemm('N', 'N', complex_t(1), Az, Az, complex_t(0), Cz);
   EXPECT_DOUBLE_EQ(fc.total(), 4.0 * 2.0 * 4 * 4 * 4);
-  fc.clear();
 }
 
 // ---------- level-1 helpers ----------
@@ -614,6 +616,28 @@ TEST(Mixed, ComplexLowPrecisionGemmOnStridedPanels) {
                   C64.ld());
   gemm_low_precision<complex_t>('C', 'N', m, n, k, A, M, B, M, C32.data(), C32.ld());
   EXPECT_LT(max_abs_diff(C64, C32), 1e-4 * k);
+}
+
+TEST(Mixed, OverlapFlopsFromOpenMPWorkersLandInTheCallersContext) {
+  // Three 64-column blocks -> six upper block pairs, spread over the workers
+  // of the block-pair region. Each worker's GEMMs must count into the
+  // context installed on the calling thread, not the process default.
+  const index_t n = 2000, N = 192, nb = 64;
+  Rng rng(21);
+  const Matrix<double> A = random_matrix<double>(n, N, rng);
+  Matrix<double> S;
+  obs::Context& process = obs::Context::current();
+  const double process_before = process.flops().total();
+  obs::Context ctx;
+  const int threads_before = omp_get_max_threads();
+  omp_set_num_threads(4);
+  {
+    obs::ContextGuard guard(ctx);
+    overlap_hermitian_partial(cspan(A), cspan(A), S, nb, /*mixed=*/true);
+  }
+  omp_set_num_threads(threads_before);
+  EXPECT_DOUBLE_EQ(ctx.flops().total(), 6.0 * 2.0 * nb * nb * n);
+  EXPECT_DOUBLE_EQ(process.flops().total(), process_before);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests for the observability subsystem: span tracing (nesting,
-// concurrency), metrics registry ordering, JSON exporters (parsed back with
-// the strict validator), and the leveled logging facade.
+// concurrency, per-step totals in the span histograms), the telemetry
+// context, metrics registry ordering, JSON exporters (parsed back with the
+// strict validator), and the leveled logging facade.
 
 #include <gtest/gtest.h>
 
@@ -10,13 +11,10 @@
 #include <thread>
 #include <vector>
 
-#include "base/flops.hpp"
-#include "base/timer.hpp"
+#include "obs/context.hpp"
 #include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace dftfe {
 namespace {
@@ -24,18 +22,18 @@ namespace {
 #if DFTFE_ENABLE_TRACING
 
 TEST(TraceSpan, RecordsNestingAndParenting) {
-  obs::TraceRecorder rec;
-  ProfileRegistry reg;
+  obs::Context ctx;
+  obs::ContextGuard guard(ctx);
   {
-    obs::TraceSpan outer("SCF-iter", "scf", rec, reg);
+    obs::TraceSpan outer("SCF-iter", "scf");
     {
-      obs::TraceSpan inner("CF", "chfes", rec, reg);
+      obs::TraceSpan inner("CF", "chfes");
     }
     {
-      obs::TraceSpan inner("DC", "scf", rec, reg);
+      obs::TraceSpan inner("DC", "scf");
     }
   }
-  const auto events = rec.events();
+  const auto events = ctx.trace().events();
   ASSERT_EQ(events.size(), 3u);
   // Children complete (and record) before the parent.
   const auto& cf = events[0];
@@ -54,40 +52,41 @@ TEST(TraceSpan, RecordsNestingAndParenting) {
   // second child starts after the first ends.
   EXPECT_GE(cf.ts_us, iter.ts_us);
   EXPECT_GE(dc.ts_us, cf.ts_us + cf.dur_us - 1.0);
-  // Spans also feed the aggregate profile registry.
-  EXPECT_EQ(reg.find("CF")->count, 1);
-  EXPECT_EQ(reg.find("SCF-iter")->count, 1);
+  // Spans also feed the per-step span histograms.
+  EXPECT_EQ(ctx.metrics().histogram("CF").count, 1u);
+  EXPECT_EQ(ctx.metrics().histogram("SCF-iter").count, 1u);
 }
 
 TEST(TraceSpan, StopEndsTheSpanEarlyAndIsIdempotent) {
-  obs::TraceRecorder rec;
-  ProfileRegistry reg;
+  obs::Context ctx;
+  obs::ContextGuard guard(ctx);
   {
-    obs::TraceSpan span("adjoint", "invdft", rec, reg);
+    obs::TraceSpan span("adjoint", "invdft");
     span.stop();
     span.stop();  // destructor must not double-record either
   }
-  EXPECT_EQ(rec.size(), 1u);
-  EXPECT_EQ(reg.find("adjoint")->count, 1);
+  EXPECT_EQ(ctx.trace().size(), 1u);
+  EXPECT_EQ(ctx.metrics().histogram("adjoint").count, 1u);
 }
 
 TEST(TraceRecorder, ConcurrentSpansFromManyThreads) {
-  obs::TraceRecorder rec;
-  ProfileRegistry reg;
+  obs::Context ctx;
   constexpr int kThreads = 8, kSpans = 50;
   std::vector<std::thread> pool;
   for (int t = 0; t < kThreads; ++t)
-    pool.emplace_back([&rec, &reg] {
+    pool.emplace_back([&ctx] {
+      obs::ContextGuard guard(ctx);
       for (int i = 0; i < kSpans; ++i) {
-        obs::TraceSpan outer("outer", "test", rec, reg);
-        obs::TraceSpan inner("inner", "test", rec, reg);
+        obs::TraceSpan outer("outer", "test");
+        obs::TraceSpan inner("inner", "test");
       }
     });
   for (auto& th : pool) th.join();
-  const auto events = rec.events();
+  const auto events = ctx.trace().events();
   ASSERT_EQ(events.size(), static_cast<std::size_t>(2 * kThreads * kSpans));
-  EXPECT_EQ(reg.find("outer")->count, kThreads * kSpans);
-  EXPECT_EQ(reg.find("inner")->count, kThreads * kSpans);
+  const auto per_name = static_cast<std::uint64_t>(kThreads * kSpans);
+  EXPECT_EQ(ctx.metrics().histogram("outer").count, per_name);
+  EXPECT_EQ(ctx.metrics().histogram("inner").count, per_name);
   // Per-thread parenting survived concurrency: every inner span's parent is
   // an outer span recorded by the same thread.
   std::map<std::uint64_t, std::uint32_t> outer_tid;
@@ -103,10 +102,11 @@ TEST(TraceRecorder, ConcurrentSpansFromManyThreads) {
 }
 
 TEST(TraceRecorder, CapacityBoundsRetainedEvents) {
-  obs::TraceRecorder rec;
-  ProfileRegistry reg;
+  obs::Context ctx;
+  obs::ContextGuard guard(ctx);
+  obs::TraceRecorder& rec = ctx.trace();
   rec.set_capacity(5);
-  for (int i = 0; i < 9; ++i) obs::TraceSpan span("s", "test", rec, reg);
+  for (int i = 0; i < 9; ++i) obs::TraceSpan span("s", "test");
   EXPECT_EQ(rec.size(), 5u);
   EXPECT_EQ(rec.dropped(), 4u);
   rec.clear();
@@ -115,23 +115,23 @@ TEST(TraceRecorder, CapacityBoundsRetainedEvents) {
 }
 
 TEST(TraceRecorder, DisabledRecorderCapturesNothing) {
-  obs::TraceRecorder rec;
-  ProfileRegistry reg;
-  rec.set_enabled(false);
-  { obs::TraceSpan span("s", "test", rec, reg); }
-  EXPECT_EQ(rec.size(), 0u);
-  // The aggregate profile still accumulates (that is the OFF-mode contract).
-  EXPECT_EQ(reg.find("s")->count, 1);
+  obs::Context ctx;
+  obs::ContextGuard guard(ctx);
+  ctx.trace().set_enabled(false);
+  { obs::TraceSpan span("s", "test"); }
+  EXPECT_EQ(ctx.trace().size(), 0u);
+  // The span histogram still accumulates (that is the OFF-mode contract).
+  EXPECT_EQ(ctx.metrics().histogram("s").count, 1u);
 }
 
 TEST(ChromeTrace, ExportIsWellFormedJsonWithEscapedNames) {
-  obs::TraceRecorder rec;
-  ProfileRegistry reg;
+  obs::Context ctx;
+  obs::ContextGuard guard(ctx);
   {
-    obs::TraceSpan outer("SCF", "scf", rec, reg);
-    obs::TraceSpan weird("na\"me\nwith\tescapes\\", "cat\"egory", rec, reg);
+    obs::TraceSpan outer("SCF", "scf");
+    obs::TraceSpan weird("na\"me\nwith\tescapes\\", "cat\"egory");
   }
-  const std::string json = obs::chrome_trace_json(rec);
+  const std::string json = obs::chrome_trace_json(ctx);
   EXPECT_TRUE(obs::json_valid(json)) << json;
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
@@ -139,6 +139,28 @@ TEST(ChromeTrace, ExportIsWellFormedJsonWithEscapedNames) {
 }
 
 #endif  // DFTFE_ENABLE_TRACING
+
+TEST(Context, GuardInstallsOnThisThreadAndRestores) {
+  obs::Context& outer = obs::Context::current();
+  obs::Context a, b;
+  {
+    obs::ContextGuard ga(a);
+    EXPECT_EQ(&obs::Context::current(), &a);
+    {
+      obs::ContextGuard gb(b);
+      EXPECT_EQ(&obs::Context::current(), &b);
+    }
+    EXPECT_EQ(&obs::Context::current(), &a);
+    // Threads do not inherit the installed context.
+    obs::Context* seen = nullptr;
+    std::thread([&seen] { seen = &obs::Context::current(); }).join();
+    EXPECT_EQ(seen, &outer);
+    { obs::TraceSpan span("s", "test"); }
+  }
+  EXPECT_EQ(&obs::Context::current(), &outer);
+  EXPECT_EQ(a.metrics().histogram("s").count, 1u);
+  EXPECT_EQ(b.metrics().histogram("s").count, 0u);
+}
 
 TEST(Metrics, SeriesPreservesAppendOrder) {
   obs::MetricsRegistry m;
@@ -185,19 +207,19 @@ TEST(Metrics, ConcurrentRecordingIsConsistent) {
 }
 
 TEST(MetricsSnapshot, JsonRoundTripsThroughValidator) {
-  obs::MetricsRegistry m;
-  ProfileRegistry reg;
-  FlopCounter fc;
+  obs::Context ctx;
+  obs::MetricsRegistry& m = ctx.metrics();
+  FlopCounter& fc = ctx.flops();
   m.series_append("scf.residual", 0.5);
   m.series_append("scf.residual", 0.01);
   m.gauge_set("chfes.block_size", 48.0);
   m.counter_add("weird\"name", 1.0);
-  reg.add("CF", 1.25);
-  reg.add("DC", 0.5);
+  m.histogram_record("CF", 1.25);
+  m.histogram_record("DC", 0.5);
   fc.set_step("CF");
   fc.add(1e9);
   fc.set_step("");
-  const std::string json = obs::metrics_snapshot_json(m, reg, fc);
+  const std::string json = obs::metrics_snapshot_json(ctx);
   EXPECT_TRUE(obs::json_valid(json)) << json;
   EXPECT_NE(json.find("\"scf.residual\":[0.5,0.01]"), std::string::npos);
   EXPECT_NE(json.find("\"CF\":{\"seconds\":1.25,\"count\":1}"), std::string::npos);
@@ -222,15 +244,14 @@ TEST(JsonValidator, AcceptsValidRejectsMalformed) {
 }
 
 TEST(StepBreakdown, TableCoversCanonicalStepsAndRemainder) {
-  ProfileRegistry reg;
-  FlopCounter fc;
-  reg.add("CF", 2.0);
-  reg.add("RR-D", 0.1);
-  fc.set_step("CF");
-  fc.add(4e9);
-  fc.set_step("");
+  obs::Context ctx;
+  ctx.metrics().histogram_record("CF", 2.0);
+  ctx.metrics().histogram_record("RR-D", 0.1);
+  ctx.flops().set_step("CF");
+  ctx.flops().add(4e9);
+  ctx.flops().set_step("");
   std::ostringstream os;
-  obs::step_breakdown_table(3.0, 0.0, reg, fc).print(os);
+  obs::step_breakdown_table(3.0, 0.0, ctx).print(os);
   const std::string table = os.str();
   for (const auto& step : obs::canonical_steps())
     EXPECT_NE(table.find(step.name), std::string::npos) << step.name;
@@ -295,17 +316,29 @@ TEST(FlopCounter, AccumulatesFractionalContributions) {
   EXPECT_DOUBLE_EQ(c.total(), 2.0);
 }
 
-TEST(ProfileRegistry, ConcurrentAddsFromParallelSections) {
-  ProfileRegistry reg;
+TEST(SpanHistogram, AccumulatesNamedSections) {
+  obs::MetricsRegistry m;
+  m.histogram_record("CF", 1.5);
+  m.histogram_record("CF", 0.5);
+  m.histogram_record("RR-P", 0.25);
+  EXPECT_DOUBLE_EQ(m.histogram("CF").sum, 2.0);
+  EXPECT_EQ(m.histogram("CF").count, 2u);
+  EXPECT_DOUBLE_EQ(m.histogram("RR-P").sum, 0.25);
+  EXPECT_DOUBLE_EQ(m.histogram("missing").sum, 0.0);
+  EXPECT_EQ(m.histogram("missing").count, 0u);
+}
+
+TEST(SpanHistogram, ConcurrentAddsFromParallelSections) {
+  obs::MetricsRegistry m;
   constexpr int kThreads = 8, kAdds = 500;
   std::vector<std::thread> pool;
   for (int t = 0; t < kThreads; ++t)
-    pool.emplace_back([&reg] {
-      for (int i = 0; i < kAdds; ++i) reg.add("section", 0.001);
+    pool.emplace_back([&m] {
+      for (int i = 0; i < kAdds; ++i) m.histogram_record("section", 0.001);
     });
   for (auto& th : pool) th.join();
-  EXPECT_EQ(reg.find("section")->count, kThreads * kAdds);
-  EXPECT_NEAR(reg.seconds("section"), kThreads * kAdds * 0.001, 1e-9);
+  EXPECT_EQ(m.histogram("section").count, static_cast<std::uint64_t>(kThreads * kAdds));
+  EXPECT_NEAR(m.histogram("section").sum, kThreads * kAdds * 0.001, 1e-9);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Concurrency stress suite for the shared mutable state of the SCF hot path:
-// the trace/metrics/profile registries, the Workspace<T> buffer pool, the
+// the telemetry context's registries, the Workspace<T> buffer pool, the
 // mixed-precision overlap kernel, block Hamiltonian applies on per-thread
 // instances, and the emulated halo exchange.
 //
@@ -22,7 +22,6 @@
 #include <thread>
 #include <vector>
 
-#include "base/flops.hpp"
 #include "base/timer.hpp"
 #include "core/job.hpp"
 #include "core/model.hpp"
@@ -37,8 +36,8 @@
 #include "la/matrix.hpp"
 #include "la/mixed.hpp"
 #include "la/workspace.hpp"
+#include "obs/context.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "svc/arena.hpp"
@@ -70,26 +69,27 @@ void run_threads(int nthreads, Fn fn) {
   for (auto& th : threads) th.join();
 }
 
-TEST(RaceRegistry, ProfileRegistryConcurrentAddAndRead) {
-  ProfileRegistry reg;
+TEST(RaceRegistry, SpanHistogramConcurrentRecordAndRead) {
+  obs::MetricsRegistry reg;
   constexpr int kIters = 2000;
   run_threads(kThreads, [&](int t) {
     const std::string mine = "race.thread" + std::to_string(t);
     for (int i = 0; i < kIters; ++i) {
-      reg.add("race.shared", 1.0);
-      reg.add(mine, 1.0);
+      reg.histogram_record("race.shared", 1.0);
+      reg.histogram_record(mine, 1.0);
       if (i % 64 == 0) {
-        (void)reg.seconds("race.shared");
-        (void)reg.find(mine);
-        (void)reg.entries();
+        (void)reg.histogram("race.shared");
+        (void)reg.histogram(mine);
+        (void)reg.snapshot();
       }
     }
   });
-  const auto entries = reg.entries();
-  EXPECT_EQ(entries.at("race.shared").count, kThreads * kIters);
-  EXPECT_DOUBLE_EQ(entries.at("race.shared").seconds, kThreads * kIters);
+  const auto hists = reg.snapshot().histograms;
+  EXPECT_EQ(hists.at("race.shared").count, static_cast<std::uint64_t>(kThreads * kIters));
+  EXPECT_DOUBLE_EQ(hists.at("race.shared").sum, kThreads * kIters);
   for (int t = 0; t < kThreads; ++t)
-    EXPECT_EQ(entries.at("race.thread" + std::to_string(t)).count, kIters);
+    EXPECT_EQ(hists.at("race.thread" + std::to_string(t)).count,
+              static_cast<std::uint64_t>(kIters));
 }
 
 TEST(RaceRegistry, MetricsRegistryConcurrentCountersGaugesSeries) {
@@ -116,9 +116,8 @@ TEST(RaceRegistry, MetricsRegistryConcurrentCountersGaugesSeries) {
 }
 
 TEST(RaceRegistry, HistogramsAndReportBuildConcurrent) {
-  obs::MetricsRegistry reg;
-  obs::TraceRecorder rec;
-  ProfileRegistry prof;
+  obs::Context ctx;
+  obs::MetricsRegistry& reg = ctx.metrics();
   constexpr int kIters = 1500;
   std::atomic<bool> done{false};
   // A builder thread assembles full RunReports from the live registries
@@ -127,7 +126,7 @@ TEST(RaceRegistry, HistogramsAndReportBuildConcurrent) {
   // mutex-guarded, so the builder must only ever see consistent snapshots.
   std::thread builder([&] {
     while (!done.load(std::memory_order_relaxed)) {
-      const obs::RunReport r = obs::build_run_report("race", -1.0, rec, reg, prof);
+      const obs::RunReport r = obs::build_run_report("race", -1.0, ctx);
       (void)r;
     }
   });
@@ -143,7 +142,7 @@ TEST(RaceRegistry, HistogramsAndReportBuildConcurrent) {
   });
   done.store(true, std::memory_order_relaxed);
   builder.join();
-  const obs::RunReport r = obs::build_run_report("race", -1.0, rec, reg, prof);
+  const obs::RunReport r = obs::build_run_report("race", -1.0, ctx);
   EXPECT_DOUBLE_EQ(r.comm.fp32.bytes, 4.0 * kThreads * kIters);
   ASSERT_EQ(r.comm.lanes.size(), static_cast<std::size_t>(kThreads));
   for (const auto& ln : r.comm.lanes) EXPECT_DOUBLE_EQ(ln.bytes, 8.0 * kIters);
@@ -152,14 +151,15 @@ TEST(RaceRegistry, HistogramsAndReportBuildConcurrent) {
 }
 
 TEST(RaceTrace, ConcurrentNestedSpanEmission) {
-  obs::TraceRecorder rec;
-  ProfileRegistry reg;
+  obs::Context ctx;
+  obs::TraceRecorder& rec = ctx.trace();
   constexpr int kIters = 400;
   run_threads(kThreads, [&](int) {
+    obs::ContextGuard guard(ctx);
     for (int i = 0; i < kIters; ++i) {
-      obs::TraceSpan outer("CF", "race", rec, reg);
+      obs::TraceSpan outer("CF", "race");
       {
-        obs::TraceSpan inner("RR-P", "race", rec, reg);
+        obs::TraceSpan inner("RR-P", "race");
       }
       if (i % 64 == 0) {
         (void)rec.size();
@@ -179,14 +179,15 @@ TEST(RaceTrace, ConcurrentNestedSpanEmission) {
       EXPECT_EQ(ev.depth, 1);
     }
 #endif
-  const auto entries = reg.entries();
-  EXPECT_EQ(entries.at("CF").count, kThreads * kIters);
-  EXPECT_EQ(entries.at("RR-P").count, kThreads * kIters);
+  const auto per_name = static_cast<std::uint64_t>(kThreads * kIters);
+  EXPECT_EQ(ctx.metrics().histogram("CF").count, per_name);
+  EXPECT_EQ(ctx.metrics().histogram("RR-P").count, per_name);
 }
 
 TEST(RaceTrace, EnableToggleAndClearWhileRecording) {
-  obs::TraceRecorder rec;
-  ProfileRegistry reg;
+  obs::Context ctx;
+  obs::ContextGuard guard(ctx);
+  obs::TraceRecorder& rec = ctx.trace();
   std::atomic<bool> done{false};
   // Toggler/cleaner thread races the recorder state against span emission;
   // correctness claim is absence of data races plus bounded storage, not a
@@ -199,8 +200,9 @@ TEST(RaceTrace, EnableToggleAndClearWhileRecording) {
     }
   });
   run_threads(kThreads, [&](int) {
+    obs::ContextGuard worker_guard(ctx);
     for (int i = 0; i < 1000; ++i) {
-      obs::TraceSpan span("DC", "race", rec, reg);
+      obs::TraceSpan span("DC", "race");
     }
   });
   done.store(true, std::memory_order_relaxed);
@@ -208,7 +210,7 @@ TEST(RaceTrace, EnableToggleAndClearWhileRecording) {
   rec.set_capacity(4);
   rec.clear();
   for (int i = 0; i < 10; ++i) {
-    obs::TraceSpan span("DH", "race", rec, reg);
+    obs::TraceSpan span("DH", "race");
   }
   EXPECT_LE(rec.size(), 4u);
 #if DFTFE_ENABLE_TRACING
@@ -678,16 +680,17 @@ TEST(RaceBackend, SubmitGuardDiagnosesCrossThreadSubmit) {
 }
 
 TEST(RaceFlops, ConcurrentAttributedAccumulation) {
-  auto& fc = FlopCounter::global();
-  fc.clear();
+  obs::Context ctx;
+  FlopCounter& fc = ctx.flops();
   constexpr int kIters = 1000;
   run_threads(kThreads, [&](int t) {
+    obs::ContextGuard guard(ctx);
     for (int i = 0; i < kIters; ++i) {
       if (t == 0) {
         // One thread races step attribution on/off against the others' adds;
         // attribution is global, so per-step totals are only a lower bound,
         // but the grand total must stay exact.
-        ScopedFlopStep step("EP");
+        obs::ScopedFlopStep step("EP");
         fc.add(2.0);
       } else {
         fc.add(2.0);
@@ -696,16 +699,15 @@ TEST(RaceFlops, ConcurrentAttributedAccumulation) {
   });
   EXPECT_DOUBLE_EQ(fc.total(), 2.0 * kThreads * kIters);
   EXPECT_LE(fc.step("EP"), fc.total());
-  fc.clear();
 }
 
 TEST(RaceService, ConcurrentJobsAgainstSharedModelAndGlobalArena) {
   // The multi-tenant invariants under TSan: four worker threads run jobs
   // concurrently against ONE const SharedModel (mesh/DofHandler/functional
   // aliased read-only across threads) while leasing per-job workspace
-  // bundles from the process-wide arena and scoping their telemetry with
-  // obs::JobScope. Two tenants additionally run the threaded backend, so
-  // engine lanes adopting a job's scope are in the TSan picture too.
+  // bundles from the process-wide arena and installing a per-job
+  // obs::Context. Two tenants additionally run the threaded backend, so
+  // engine lanes installing a job's context are in the TSan picture too.
   atoms::Structure parent;
   parent.atoms = {{atoms::Species::X, {1.0, 1.0, 1.0}}};
   parent.box = {7.0, 7.0, 7.0};

@@ -16,15 +16,13 @@
 #include <string>
 #include <vector>
 
-#include "base/flops.hpp"
 #include "dd/engine.hpp"
 #include "fe/dofs.hpp"
 #include "fe/mesh.hpp"
 #include "la/matrix.hpp"
+#include "obs/context.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "obs/report.hpp"
-#include "obs/trace.hpp"
 
 namespace dftfe {
 namespace {
@@ -63,12 +61,9 @@ TEST(RunReport, HistogramBucketsAndStats) {
 // ---------- schema round trip ----------
 
 TEST(RunReport, EmitParseReEmitIsByteIdentical) {
-  auto& m = obs::MetricsRegistry::global();
-  auto& rec = obs::TraceRecorder::global();
-  m.clear();
-  rec.clear();
-  ProfileRegistry::global().clear();
-  FlopCounter::global().clear();
+  obs::Context ctx;
+  obs::ContextGuard guard(ctx);
+  auto& m = ctx.metrics();
 
   {
     obs::TraceSpan outer("SCF", "scf");
@@ -92,9 +87,11 @@ TEST(RunReport, EmitParseReEmitIsByteIdentical) {
   m.series_append("scf.residual", 1e-3);
   m.series_append("scf.residual", 1e-5);
   m.series_append("scf.cheb_degree", 15.0);
+  m.series_append("poisson.iterations", 12.0);
+  m.series_append("poisson.iterations", 9.0);
   m.histogram_record("CF-halo", 1.5e-4);
   m.histogram_record("CF-halo", 3.0e-4);
-  FlopCounter::global().add(100.0);
+  ctx.flops().add(100.0);
 
   const obs::RunReport r1 = obs::build_run_report("roundtrip");
   const std::string s1 = obs::run_report_json(r1);
@@ -114,6 +111,7 @@ TEST(RunReport, EmitParseReEmitIsByteIdentical) {
   EXPECT_EQ(r2.convergence.iterations, 2);
   EXPECT_TRUE(r2.convergence.converged);
   EXPECT_EQ(r2.histograms.at("CF-halo").count, 2u);
+  EXPECT_EQ(r2.convergence.series.at("poisson.iterations"), (std::vector<double>{12.0, 9.0}));
 
   const std::string s2 = obs::run_report_json(r2);
   EXPECT_EQ(s1, s2) << "emit -> parse -> re-emit must be byte-identical";
@@ -122,11 +120,6 @@ TEST(RunReport, EmitParseReEmitIsByteIdentical) {
   obs::RunReport r3;
   EXPECT_FALSE(obs::parse_run_report("{\"schema\":\"dftfe.runreport.v999\"}", r3));
   EXPECT_FALSE(obs::parse_run_report("not json", r3));
-
-  m.clear();
-  rec.clear();
-  ProfileRegistry::global().clear();
-  FlopCounter::global().clear();
 }
 
 // ---------- comm ledger exactness ----------
@@ -141,7 +134,7 @@ TEST(RunReport, CommLedgerMatchesHandComputedHaloBytes) {
   opt.wire = dd::Wire::fp32;
   dd::SlabEngine<double> eng(dofh, opt);
 
-  auto& m = obs::MetricsRegistry::global();
+  auto& m = obs::Context::current().metrics();
   m.clear();
 
   const index_t ncols = 5;
@@ -214,7 +207,7 @@ TEST(RunReport, CommLedgerMatchesHandComputedBf16HaloBytes) {
   opt.drift_budget = 1.0;  // BF16 drift is ~4e-3 RMS; keep headroom
   dd::SlabEngine<double> eng(dofh, opt);
 
-  auto& m = obs::MetricsRegistry::global();
+  auto& m = obs::Context::current().metrics();
   m.clear();
 
   const index_t ncols = 5;
@@ -278,7 +271,7 @@ TEST(RunReport, ExposedWaitTracksInjectedWireDelay) {
   opt.model.latency_s = 1e-4;
   dd::SlabEngine<double> eng(dofh, opt);
 
-  auto& m = obs::MetricsRegistry::global();
+  auto& m = obs::Context::current().metrics();
   m.clear();
 
   la::Matrix<double> X(dofh.ndofs(), 5), Y;

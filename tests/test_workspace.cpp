@@ -22,7 +22,6 @@
 #include <string_view>
 #include <vector>
 
-#include "base/flops.hpp"
 #include "fe/cell_ops.hpp"
 #include "ks/chfes.hpp"
 #include "ks/hamiltonian.hpp"
@@ -30,7 +29,7 @@
 #include "la/blas.hpp"
 #include "la/mixed.hpp"
 #include "la/workspace.hpp"
-#include "obs/metrics.hpp"
+#include "obs/context.hpp"
 
 // Counting global operator new: the metrics zero-allocation suite asserts
 // that string_view lookups on warmed registry keys never allocate (the
@@ -161,15 +160,15 @@ TEST(Workspace, EnsureScratchGrowOnly) {
 TEST(Workspace, DegenerateGemmChargesZeroFlops) {
   la::MatrixD A(8, 8), B(8, 8), C(8, 8);
   for (index_t i = 0; i < A.size(); ++i) A.data()[i] = B.data()[i] = 0.5;
-  FlopCounter::global().clear();
+  obs::Context ctx;
+  obs::ContextGuard guard(ctx);
   la::gemm('N', 'N', 0.0, A, B, 1.0, C);  // alpha = 0: scaling only
-  EXPECT_EQ(FlopCounter::global().total(), 0.0);
+  EXPECT_EQ(ctx.flops().total(), 0.0);
   la::gemm_strided_batched<double>('N', 'N', 8, 8, 0, 1.0, A.data(), 8, 0, B.data(), 8, 0,
                                    1.0, C.data(), 8, 0, 4);  // k = 0
-  EXPECT_EQ(FlopCounter::global().total(), 0.0);
+  EXPECT_EQ(ctx.flops().total(), 0.0);
   la::gemm('N', 'N', 1.0, A, B, 0.0, C);
-  EXPECT_GT(FlopCounter::global().total(), 0.0);
-  FlopCounter::global().clear();
+  EXPECT_GT(ctx.flops().total(), 0.0);
 }
 
 // ---------- shared fixtures ----------
@@ -389,7 +388,7 @@ TEST(Workspace, MetricsMutatorsAllocationFreeOnWarmKeys) {
 #if !DFTFE_COUNT_GLOBAL_NEW
   GTEST_SKIP() << "global operator new counting disabled under sanitizers";
 #else
-  auto& m = obs::MetricsRegistry::global();
+  auto& m = obs::Context::current().metrics();
   // Warm the keys: the first touch of each name allocates its map node.
   m.counter_add("zat.counter", 1);
   m.gauge_set("zat.gauge", 0.0);
