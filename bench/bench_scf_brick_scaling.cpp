@@ -1,4 +1,4 @@
-// Slab vs 3D-brick domain decomposition at 8 lanes, end to end (the brick
+// Z-slab vs 3D-brick domain decomposition at 8 lanes, end to end (the brick
 // tentpole's perf gate). On a cube the z-slab layout stops scaling: at 8
 // lanes each slab is 1-2 cell layers thick, so nearly every dof sits on an
 // interface plane and the halo traffic grows with the full cross-section

@@ -212,7 +212,7 @@ int main(int argc, char** argv) {
     const double a0 = -1.3, a = a0 + 0.15 * (b - a0);
     la::Matrix<double> X(dofh.ndofs(), base.block_size);
     for (index_t i = 0; i < X.size(); ++i) X.data()[i] = std::sin(0.17 * i);
-    dd::SlabEngine<double> probe(dofh, popt);
+    dd::RankEngine<double> probe(dofh, popt);
     probe.set_potential(H.potential());
     probe.filter_block(X, 0, X.cols(), base.cheb_degree, a, b, a0);
     const auto& stats = probe.last_step_stats();

@@ -12,7 +12,7 @@
 //     the fused Chebyshev recurrence, la::overlap_hermitian_mixed, and the
 //     DC row loop are the exact statements the ks/ layer ran before the
 //     refactor, so a serial-backend SCF is indistinguishable from the seed.
-//   * ThreadedBackend — wraps dd::SlabEngine: every stage executes
+//   * ThreadedBackend — wraps dd::RankEngine: every stage executes
 //     slab-decomposed across the engine's lanes with real halo exchange
 //     (filter/apply), slab-local partial Gram reductions (overlap), and
 //     disjoint owned-row density accumulation.
@@ -219,7 +219,7 @@ class SerialBackend final : public ExecBackend<T> {
 };
 
 /// Multi-rank backend: every stage runs slab-decomposed on the wrapped
-/// SlabEngine's lanes (see dd/engine.hpp for the execution model).
+/// RankEngine's lanes (see dd/engine.hpp for the execution model).
 template <class T>
 class ThreadedBackend final : public ExecBackend<T> {
  public:
@@ -227,7 +227,7 @@ class ThreadedBackend final : public ExecBackend<T> {
 
   const char* name() const override { return "threaded"; }
   int nlanes() const override { return engine_.nlanes(); }
-  SlabEngine<T>& engine() { return engine_; }
+  RankEngine<T>& engine() { return engine_; }
 
   void set_potential(const std::vector<double>& v_eff) override {
     if (hamiltonian_) engine_.set_potential(v_eff);
@@ -269,7 +269,7 @@ class ThreadedBackend final : public ExecBackend<T> {
 
  private:
   bool hamiltonian_;
-  SlabEngine<T> engine_;
+  RankEngine<T> engine_;
   la::WorkMatrix<T> vec_in_, vec_out_;  // single-vector apply buffers
 };
 

@@ -96,7 +96,7 @@ class Scheduler {
 /// Install/remove the process-global controlled scheduler. Threads opt in
 /// individually via ThreadGuard; unregistered threads always pass through to
 /// the std primitives, so an installed scheduler never perturbs unrelated
-/// concurrency (e.g. a SlabEngine running in the same process).
+/// concurrency (e.g. a RankEngine running in the same process).
 void set_controller(Scheduler* s) noexcept;
 Scheduler* controller() noexcept;
 

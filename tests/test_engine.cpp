@@ -1,4 +1,4 @@
-// Tests for the threaded multi-rank slab engine (dd/engine.hpp): equivalence
+// Tests for the threaded multi-rank engine (dd/engine.hpp): equivalence
 // of the real sync/async execution against the undecomposed reference path
 // (Hamiltonian apply and the full Chebyshev filter), FP32-wire tolerance,
 // bare-stiffness (Poisson) mode, the simulator-vs-measured overlap sanity
@@ -68,7 +68,7 @@ double max_diff(const la::Matrix<T>& A, const la::Matrix<T>& B) {
   return m;
 }
 
-TEST(SlabEngine, ApplyMatchesReferenceAcrossLaneCounts) {
+TEST(RankEngine, ApplyMatchesReferenceAcrossLaneCounts) {
   const double L = 8.0;
   for (const bool periodic : {false, true}) {
     const auto mesh = fe::make_uniform_mesh(L, 4, periodic);
@@ -83,7 +83,7 @@ TEST(SlabEngine, ApplyMatchesReferenceAcrossLaneCounts) {
       EngineOptions opt;
       opt.nlanes = lanes;
       opt.mode = EngineMode::async;
-      SlabEngine<double> eng(dofh, opt);
+      RankEngine<double> eng(dofh, opt);
       eng.set_potential(H.potential());
       la::Matrix<double> Y;
       eng.apply(X, Y);
@@ -98,7 +98,7 @@ TEST(SlabEngine, ApplyMatchesReferenceAcrossLaneCounts) {
   }
 }
 
-TEST(SlabEngine, SyncAndAsyncAreBitwiseIdentical) {
+TEST(RankEngine, SyncAndAsyncAreBitwiseIdentical) {
   const double L = 8.0;
   const auto mesh = fe::make_uniform_mesh(L, 4, true);
   fe::DofHandler dofh(mesh, 3);
@@ -111,7 +111,7 @@ TEST(SlabEngine, SyncAndAsyncAreBitwiseIdentical) {
     EngineOptions opt;
     opt.nlanes = 4;
     opt.mode = mode;
-    SlabEngine<double> eng(dofh, opt);
+    RankEngine<double> eng(dofh, opt);
     eng.set_potential(H.potential());
     eng.filter_block(X, 0, X.cols(), 8, a, b, a0);
   };
@@ -127,7 +127,7 @@ TEST(SlabEngine, SyncAndAsyncAreBitwiseIdentical) {
 // The tentpole equivalence criterion: the threaded engine's filtered
 // subspace matches the undecomposed ChFES filter to 1e-12 on a small
 // Mg-like cell, for p in {3, 5}, in both execution modes.
-TEST(SlabEngine, FilteredSubspaceMatchesReferenceP3P5) {
+TEST(RankEngine, FilteredSubspaceMatchesReferenceP3P5) {
   const double L = 8.0;
   for (const int degree_fe : {3, 5}) {
     const auto mesh = fe::make_uniform_mesh(L, degree_fe == 3 ? 4 : 3, true);
@@ -162,7 +162,7 @@ TEST(SlabEngine, FilteredSubspaceMatchesReferenceP3P5) {
   }
 }
 
-TEST(SlabEngine, ComplexKpointFilterMatchesReference) {
+TEST(RankEngine, ComplexKpointFilterMatchesReference) {
   const double L = 8.0;
   const auto mesh = fe::make_uniform_mesh(L, 4, true);
   fe::DofHandler dofh(mesh, 3);
@@ -193,7 +193,7 @@ TEST(SlabEngine, ComplexKpointFilterMatchesReference) {
   EXPECT_LT(max_diff(sol.subspace(), ref.subspace()), 1e-12);
 }
 
-TEST(SlabEngine, Fp32WireDriftsAtSinglePrecisionOnly) {
+TEST(RankEngine, Fp32WireDriftsAtSinglePrecisionOnly) {
   const double L = 8.0;
   const auto mesh = fe::make_uniform_mesh(L, 4, true);
   fe::DofHandler dofh(mesh, 3);
@@ -207,7 +207,7 @@ TEST(SlabEngine, Fp32WireDriftsAtSinglePrecisionOnly) {
   EngineOptions opt;
   opt.nlanes = 4;
   opt.wire = Wire::fp32;
-  SlabEngine<double> eng(dofh, opt);
+  RankEngine<double> eng(dofh, opt);
   eng.set_potential(H.potential());
   la::Matrix<double> Y;
   eng.apply(X, Y);
@@ -223,13 +223,13 @@ TEST(SlabEngine, Fp32WireDriftsAtSinglePrecisionOnly) {
   // Wire bytes on the wire are half the FP64 payload for the same traffic.
   EngineOptions o64 = opt;
   o64.wire = Wire::fp64;
-  SlabEngine<double> eng64(dofh, o64);
+  RankEngine<double> eng64(dofh, o64);
   eng64.set_potential(H.potential());
   eng64.apply(X, Y);
   EXPECT_EQ(2 * eng.comm_stats().bytes, eng64.comm_stats().bytes);
 }
 
-TEST(SlabEngine, BareStiffnessModeMatchesPoissonOperator) {
+TEST(RankEngine, BareStiffnessModeMatchesPoissonOperator) {
   const auto mesh = fe::make_uniform_mesh(6.0, 4, false);
   fe::DofHandler dofh(mesh, 3);
   fe::CellStiffness<double> A(dofh, 1.0);
@@ -243,13 +243,13 @@ TEST(SlabEngine, BareStiffnessModeMatchesPoissonOperator) {
   opt.nlanes = 3;
   opt.hamiltonian = false;
   opt.coef_lap = 1.0;
-  SlabEngine<double> eng(dofh, opt);
+  RankEngine<double> eng(dofh, opt);
   la::Matrix<double> Y;
   eng.apply(X, Y);
   EXPECT_LT(max_diff(Y, Yref), 1e-12);
 }
 
-TEST(SlabEngine, MeasuredWallRespectsSimulatorBounds) {
+TEST(RankEngine, MeasuredWallRespectsSimulatorBounds) {
   // With an injected wire delay the measured filter wall must land between
   // the pipeline simulator's perfect-overlap and fully-synchronous
   // schedules (generous slack: the engine posts halos earlier in a step
@@ -269,7 +269,7 @@ TEST(SlabEngine, MeasuredWallRespectsSimulatorBounds) {
   opt.inject_wire_delay = true;
   opt.model.bandwidth_bytes_per_s = 5e6;  // ~2 ms per 8-column halo packet
   opt.model.latency_s = 1e-4;
-  SlabEngine<double> eng(dofh, opt);
+  RankEngine<double> eng(dofh, opt);
   eng.set_potential(H.potential());
 
   la::Matrix<double> X(dofh.ndofs(), 8);
@@ -304,14 +304,14 @@ TEST(SlabEngine, MeasuredWallRespectsSimulatorBounds) {
   EXPECT_LE(measured_async, 2.0 * simulate_sync(blocks) + 0.05);
 }
 
-TEST(SlabEngine, LaneFaultPropagatesAndEngineRecovers) {
+TEST(RankEngine, LaneFaultPropagatesAndEngineRecovers) {
   const auto mesh = fe::make_uniform_mesh(6.0, 4, true);
   fe::DofHandler dofh(mesh, 3);
   ks::Hamiltonian<double> H(dofh);
   H.set_potential(std::vector<double>(dofh.ndofs(), -0.5));
   EngineOptions opt;
   opt.nlanes = 4;
-  SlabEngine<double> eng(dofh, opt);
+  RankEngine<double> eng(dofh, opt);
   eng.set_potential(H.potential());
 
   la::Matrix<double> X(dofh.ndofs(), 3), Y, Yref;
@@ -326,7 +326,7 @@ TEST(SlabEngine, LaneFaultPropagatesAndEngineRecovers) {
   }
 }
 
-TEST(SlabEngine, SteadyStateAllocatesNothing) {
+TEST(RankEngine, SteadyStateAllocatesNothing) {
   const double L = 8.0;
   const auto mesh = fe::make_uniform_mesh(L, 4, true);
   fe::DofHandler dofh(mesh, 3);
@@ -337,7 +337,7 @@ TEST(SlabEngine, SteadyStateAllocatesNothing) {
 
   EngineOptions opt;
   opt.nlanes = 4;
-  SlabEngine<double> eng(dofh, opt);
+  RankEngine<double> eng(dofh, opt);
   eng.set_potential(H.potential());
   la::Matrix<double> X(dofh.ndofs(), 6);
   for (index_t i = 0; i < X.size(); ++i) X.data()[i] = std::cos(0.23 * i);
@@ -369,7 +369,7 @@ TEST(OmpDriverPin, LastReleaseRestoresTeamSizeInAnyOrder) {
   omp_set_num_threads(before);
 }
 
-TEST(SlabEngine, CommStatsCountBothDirectionsPerInterface) {
+TEST(RankEngine, CommStatsCountBothDirectionsPerInterface) {
   const auto mesh = fe::make_uniform_mesh(6.0, 4, false);
   fe::DofHandler dofh(mesh, 3);
   EngineOptions opt;
@@ -377,7 +377,7 @@ TEST(SlabEngine, CommStatsCountBothDirectionsPerInterface) {
   opt.grid = {1, 1, 4};  // pin the z-slab layout: the counts below are slab-exact
   opt.hamiltonian = false;
   opt.coef_lap = 1.0;
-  SlabEngine<double> eng(dofh, opt);
+  RankEngine<double> eng(dofh, opt);
   la::Matrix<double> X(dofh.ndofs(), 5), Y;
   eng.apply(X, Y);
   const auto st = eng.comm_stats();
@@ -488,9 +488,9 @@ TEST(BrickEngine, SyncAndAsyncAreBitwiseIdenticalOn2x2x1) {
   EXPECT_EQ(max_diff(Xs, Xa), 0.0);
 }
 
-TEST(BrickEngine, DegenerateGridMatchesSlabEngineBitwise) {
-  // A {1, 1, N} brick grid must be byte-for-byte the historical slab engine:
-  // same cell splits, same packets, same arithmetic order.
+TEST(BrickEngine, DegenerateZGridMatchesBrickGrid) {
+  // The {1, 1, N} z-slab grid and a 2x2x1 brick grid of the same lane count
+  // run the same operator.
   const double L = 8.0;
   const auto mesh = fe::make_uniform_mesh(L, 4, false);
   fe::DofHandler dofh(mesh, 3);

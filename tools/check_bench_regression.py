@@ -9,7 +9,7 @@ bench/baselines/.
 
 What is compared
   * Every gauge whose key ends in `wall_s` (per-benchmark wall times:
-    `bench.kernels.<name>.wall_s`, `ablation_async.sync_wall_s`, ...).
+    `bench.kernels.<name>.wall_s`, `scf_strong.sync_wall_s`, ...).
     Lower is better; FAIL when  current > baseline * threshold.
   * Entries whose *baseline* wall is below --min-seconds (default 1 ms) are
     skipped: micro-entries are timer-noise-bound and would make the gate
@@ -31,8 +31,8 @@ Machine normalization
 
 Floors
   --min-gauge KEY=VALUE asserts a non-time gauge is at least VALUE (e.g.
-  `ablation_async.speedup=1.15`, the measured async-overlap acceptance
-  gate). Machine normalization does not apply; ratios are dimensionless.
+  `scf_strong.filter_speedup=1.15`, the measured filter-level async-overlap
+  acceptance gate). Machine normalization does not apply; ratios are dimensionless.
 
 RunReport attribution
   --report BASELINE=CURRENT (repeatable) registers a pair of RunReport
@@ -46,9 +46,9 @@ Usage
   check_bench_regression.py [options] BASELINE=CURRENT [BASELINE=CURRENT...]
   check_bench_regression.py --threshold 1.10 \
       bench/baselines/BENCH_kernels.json=build/bench/BENCH_kernels.json \
-      --min-gauge ablation_async.speedup=1.15 \
+      --min-gauge scf_strong.filter_speedup=1.15 \
       --report bench/baselines/RUNREPORT_kernels.json=build/bench/RUNREPORT_kernels.json \
-      bench/baselines/BENCH_ablation_async_overlap.json=build/bench/BENCH_ablation_async_overlap.json
+      bench/baselines/BENCH_scf_strong_scaling.json=build/bench/BENCH_scf_strong_scaling.json
 
 Exit status: 0 clean, 1 regression or floor violation, 2 usage/parse error.
 """
